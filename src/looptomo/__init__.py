@@ -10,6 +10,7 @@ simulator makes every pipeline stage verifiable without hardware.
 from .detector_model import (
     ClickSample,
     LoopParams,
+    POVMSet,
     TYPICAL_DARK_PROB,
     bin_click_prob_coherent,
     bin_click_prob_fock,
@@ -22,15 +23,15 @@ from .detector_model import (
     poisson_binomial_bruteforce,
     poisson_binomial_closed,
     poisson_binomial_pmf,
+    poisson_binomial_rows,
     simulate_bin_clicks,
     simulate_bin_totals,
 )
-from .errors import ConfigError, DataError, MemoryBudgetError
+from .errors import CompetingBasinError, ConfigError, DataError, MemoryBudgetError
 from .estimation import (
     BrightStateEstimate,
     crosscheck_fock_path,
     estimate_mean_photon,
-    model_outcome_distribution,
 )
 from .ingest import (
     BinningConfig,
@@ -60,7 +61,6 @@ from .probe_states import (
 )
 from .reference import reconstruct_reference
 from .tomography import (
-    POVMSet,
     ReconstructionReport,
     SmoothingConfig,
     SweepResult,

@@ -272,16 +272,7 @@ def _cmd_extrapolate(args) -> int:
         ):
             stop = start + rows.shape[0] - 1
             part = out.with_suffix(f".rows{start}-{stop}.csv")
-            header = "fock_index," + ",".join(
-                f"outcome_{n}" for n in range(args.outcomes)
-            )
-            lines = [header]
-            for offset, row in enumerate(rows):
-                lines.append(
-                    f"{start + offset},"
-                    + ",".join("%.17g" % v for v in row)
-                )
-            part.write_text("\n".join(lines) + "\n")
+            fileio.save_povm_rows_csv(rows, start, part)
             n_files += 1
         print(f"memory budget exceeded; streamed {n_files} row-chunk files")
     return EXIT_OK

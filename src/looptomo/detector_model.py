@@ -9,9 +9,10 @@ out-coupling reflectivity, the loop round-trip efficiency and the
 detection efficiency.
 
 This module provides the per-bin probabilities, the Poisson binomial
-transform (both the exponential-cost enumeration and the discrete-Fourier
-closed form), model POVM construction at arbitrary truncation, and a
-stochastic pulse simulator used as the synthetic data source.
+transform (one discrete-Fourier row engine, with enumeration as its
+oracle), the POVMSet container with model POVM construction at arbitrary
+truncation, and a stochastic pulse simulator used as the synthetic data
+source.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .probe_states import poisson_pmf
-from .tomography import POVMSet
 
 #: Typical per-bin dark-click probability of the real device (per 2 ns bin).
 TYPICAL_DARK_PROB = 3e-8
@@ -32,6 +33,40 @@ TYPICAL_DARK_PROB = 3e-8
 BRUTEFORCE_MAX_BINS = 20
 
 _SIM_CHUNK = 1 << 20  # pulses per simulator chunk; fixed so seeds reproduce
+
+
+@dataclass(frozen=True)
+class POVMSet:
+    """Diagonal POVM elements theta[i, n] = p(outcome n | i photons)."""
+
+    theta: np.ndarray
+    supported: np.ndarray | None = None
+
+    def __post_init__(self):
+        theta = np.asarray(self.theta, dtype=float)
+        if theta.ndim != 2:
+            raise ConfigError("POVM matrix must be two-dimensional")
+        if theta.min() < -1e-12 or theta.max() > 1.0 + 1e-12:
+            raise ConfigError("POVM entries must lie in [0, 1]")
+        dev = np.abs(theta.sum(axis=1) - 1.0).max()
+        if dev > 1e-8:
+            raise ConfigError(f"POVM rows must sum to 1 (worst deviation {dev:.2e})")
+        theta.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
+        if self.supported is not None:
+            supported = np.asarray(self.supported, dtype=bool)
+            if supported.shape != (theta.shape[0],):
+                raise ConfigError("support mask length must match POVM rows")
+            supported.flags.writeable = False
+            object.__setattr__(self, "supported", supported)
+
+    @property
+    def truncation_dim(self) -> int:
+        return self.theta.shape[0] - 1
+
+    @property
+    def n_outcomes(self) -> int:
+        return self.theta.shape[1]
 
 
 @dataclass(frozen=True)
@@ -175,24 +210,38 @@ def poisson_binomial_bruteforce(p, n: int) -> float:
     return total
 
 
-def poisson_binomial_pmf(p) -> np.ndarray:
-    """Full Poisson binomial pmf over 0..len(p) successes.
+def poisson_binomial_rows(pmat) -> np.ndarray:
+    """Row-wise Poisson binomial: (rows, nb) probabilities -> (rows, nb+1) pmfs.
 
-    Discrete-Fourier closed form: with C = exp(2 pi i / (N+1)), the pmf is
-    the inverse transform of the characteristic products
-    prod_j (1 + (C^l - 1) p_j). Roundoff leaves imaginary residue below
-    1e-10 (checked) and sub-1e-15 negative excursions (clamped to 0).
+    Discrete-Fourier closed form: with C = exp(2 pi i / (nb+1)), a pmf is the
+    inverse transform of z_l = prod_j (1 + (C^l - 1) p_j). z is Hermitian,
+    so only l <= (nb+1)/2 is formed and np.fft.hfft returns a real pmf;
+    sub-1e-15 negative excursions are clamped to 0. One row reduces over
+    bins in one vectorised product (the bright-state search's many small
+    calls); many rows take one in-place pass per bin, which is faster for
+    fit and extrapolation blocks and holds two (rows, nb//2+1) arrays.
     """
-    p = _validate_probs(p)
-    nb = p.size
-    if nb == 0:
-        return np.array([1.0])
-    roots = np.exp(2j * np.pi * np.arange(nb + 1) / (nb + 1))
-    z = np.prod(1.0 + (roots[:, None] - 1.0) * p[None, :], axis=1)
-    spectrum = np.fft.fft(z)
-    if np.abs(spectrum.imag).max() / (nb + 1) > 1e-10:
-        raise ArithmeticError("imaginary residue above 1e-10 in closed form")
-    return np.clip(spectrum.real / (nb + 1), 0.0, 1.0)
+    pmat = np.asarray(pmat, dtype=float)
+    rows, nb = pmat.shape
+    n = nb + 1
+    w = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n) - 1.0
+    if rows == 1:
+        z = np.prod(1.0 + w[:, None] * pmat[0], axis=1)[None, :]
+    else:
+        z = np.ones((rows, w.size), dtype=complex)
+        factor = np.empty_like(z)
+        for j in range(nb):
+            np.multiply(pmat[:, j : j + 1], w, out=factor)
+            factor += 1.0
+            z *= factor
+        del factor  # freed before the transform allocates its own two arrays
+    pmf = np.fft.hfft(z, n=n, axis=1, norm="forward")
+    return np.clip(pmf, 0.0, 1.0, out=pmf)
+
+
+def poisson_binomial_pmf(p) -> np.ndarray:
+    """Full Poisson binomial pmf over 0..len(p) successes."""
+    return poisson_binomial_rows(_validate_probs(p)[None, :])[0]
 
 
 def poisson_binomial_closed(p, n: int) -> float:
@@ -201,16 +250,6 @@ def poisson_binomial_closed(p, n: int) -> float:
     if not 0 <= n <= p.size:
         raise ValueError(f"n={n} outside 0..{p.size}")
     return float(poisson_binomial_pmf(p)[n])
-
-
-def _poisson_binomial_pmf_rows(pmat: np.ndarray) -> np.ndarray:
-    """Row-wise closed form: (rows, nb) probabilities -> (rows, nb+1) pmfs."""
-    rows, nb = pmat.shape
-    roots = np.exp(2j * np.pi * np.arange(nb + 1) / (nb + 1))
-    z = np.ones((rows, nb + 1), dtype=complex)
-    for j in range(nb):
-        z *= 1.0 + (roots[None, :] - 1.0) * pmat[:, j : j + 1]
-    return np.clip(np.fft.fft(z, axis=1).real / (nb + 1), 0.0, 1.0)
 
 
 def fock_bin_prob_rows(params: LoopParams, photon_numbers: np.ndarray) -> np.ndarray:
@@ -224,15 +263,14 @@ def fock_outcome_distribution(params: LoopParams, n_photons: int) -> np.ndarray:
     """Outcome distribution (occupied-bin counts) for a Fock input."""
     if n_photons < 0:
         raise ValueError(f"n_photons must be >= 0, got {n_photons}")
-    probs = fock_bin_prob_rows(params, np.array([n_photons]))
-    return _poisson_binomial_pmf_rows(probs)[0]
+    return model_povm_rows(params, np.array([n_photons]))[0]
 
 
 def model_povm_rows(
     params: LoopParams, photon_numbers: np.ndarray
 ) -> np.ndarray:
     """Model POVM rows for the given photon numbers, (len, n_bins+1)."""
-    return _poisson_binomial_pmf_rows(fock_bin_prob_rows(params, photon_numbers))
+    return poisson_binomial_rows(fock_bin_prob_rows(params, photon_numbers))
 
 
 def build_model_povm(
@@ -241,8 +279,8 @@ def build_model_povm(
     """Model POVM on Fock states 0..truncation_dim.
 
     Rows are computed independently in chunks, so truncations up to 1e6
-    photon numbers need no more transient memory than one chunk of complex
-    characteristic products.
+    photon numbers need no more transient memory than one chunk of the
+    rows x bins click-probability matrix and its transform.
     """
     if truncation_dim < 0:
         raise ValueError(f"truncation_dim must be >= 0, got {truncation_dim}")

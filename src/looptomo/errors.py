@@ -11,3 +11,7 @@ class DataError(Exception):
 
 class MemoryBudgetError(ConfigError):
     """Requested dense output exceeds the memory budget; use the streaming API."""
+
+
+class CompetingBasinError(DataError, RuntimeError):
+    """Outcome data fit two distinct coherent states about equally well."""

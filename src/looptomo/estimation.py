@@ -3,13 +3,14 @@
 Given a measured outcome distribution and fitted loop parameters, the mean
 photon number is the coherent amplitude whose model outcome distribution
 is closest in Euclidean distance. The model distribution is evaluated
-analytically: per-bin rates 1 - exp(-mu q_j) fed through the Poisson
-binomial closed form. The explicit product of a truncated Poisson row with
-the extrapolated Fock POVM is kept as a cross-check path; its per-bin
-marginals match the analytic rates exactly, while the distributions agree
-only up to the covariance the independent-bin Fock rows ignore (second
-order in the bin rates). The resulting estimates coincide far more tightly
-because that covariance term is symmetric about the residual minimum.
+analytically: per-bin rates 1 - exp(-mu q_j), one row per candidate mean,
+fed through ``detector_model.poisson_binomial_rows``. The explicit product
+of a truncated Poisson row with the extrapolated Fock POVM is kept as a
+cross-check path; its per-bin marginals match the analytic rates exactly,
+while the distributions agree only up to the covariance the independent-bin
+Fock rows ignore (second order in the bin rates). The resulting estimates
+coincide far more tightly because that covariance term is symmetric about
+the residual minimum.
 """
 
 from __future__ import annotations
@@ -22,15 +23,14 @@ from scipy.optimize import minimize_scalar
 
 from .detector_model import (
     LoopParams,
-    _poisson_binomial_pmf_rows,
     coherent_bin_probs,
     coherent_outcome_distribution,
-    mean_occupied_bins,
     model_povm_rows,
     per_photon_bin_probs,
     poisson_binomial_pmf,
+    poisson_binomial_rows,
 )
-from .errors import DataError
+from .errors import CompetingBasinError, DataError
 from .probe_states import poisson_pmf
 
 DEFAULT_MU_BOUNDS = (1e-3, 1e9)
@@ -49,9 +49,10 @@ class BrightStateEstimate:
     n_bootstrap: int = 0
 
 
-def model_outcome_distribution(params: LoopParams, mean_photon: float) -> np.ndarray:
-    """Analytic outcome distribution for a coherent input of given mean."""
-    return coherent_outcome_distribution(params, mean_photon)
+def _distance(log_mu: float, p_obs: np.ndarray, params: LoopParams) -> float:
+    """Euclidean distance from p_obs to the model at mean exp(log_mu)."""
+    model = coherent_outcome_distribution(params, math.exp(log_mu))
+    return float(np.linalg.norm(p_obs - model))
 
 
 def crosscheck_fock_path(
@@ -96,7 +97,7 @@ def _pre_scan(p_obs, params, mu_bounds, grid_points):
     lg = np.linspace(math.log(mu_bounds[0]), math.log(mu_bounds[1]), grid_points)
     q = per_photon_bin_probs(params)
     rates = -np.expm1(-np.exp(lg)[:, None] * q[None, :])
-    model = _poisson_binomial_pmf_rows(rates)
+    model = poisson_binomial_rows(rates)
     res = np.linalg.norm(model - p_obs[None, :], axis=1)
     k_best = int(np.argmin(res))
     depth_scale = float(res.max() - res[k_best])
@@ -106,7 +107,7 @@ def _pre_scan(p_obs, params, mu_bounds, grid_points):
                 near_best = abs(k - k_best) <= 1
                 competitive = res[k] <= res[k_best] + 0.05 * depth_scale
                 if not near_best and competitive:
-                    raise RuntimeError(
+                    raise CompetingBasinError(
                         "residual pre-scan found a second competitive basin; "
                         "input incompatible with a single coherent state"
                     )
@@ -120,13 +121,9 @@ def _point_estimate(p_obs, params, mu_bounds, grid_points) -> float:
     if k == 0 or k == res.size - 1:
         return float(lg[k])
 
-    def distance(log_mu: float) -> float:
-        return float(
-            np.linalg.norm(p_obs - model_outcome_distribution(params, math.exp(log_mu)))
-        )
-
     opt = minimize_scalar(
-        distance,
+        _distance,
+        args=(p_obs, params),
         bracket=(lg[k - 1], lg[k], lg[k + 1]),
         method="golden",
         options=dict(xtol=1e-9),
@@ -146,8 +143,9 @@ def estimate_mean_photon(
     """Estimate the mean photon number behind an outcome distribution.
 
     Bracketing plus golden-section search over log(mu); the grid pre-scan
-    locates the global basin and raises when a second basin competes with
-    it (data inconsistent with any single coherent state).
+    locates the global basin and raises CompetingBasinError when a second
+    basin competes with it (data inconsistent with any single coherent
+    state).
 
     The curvature interval scales the quadratic approximation of the
     squared residual to its doubling point. When ``n_pulses`` and
@@ -176,18 +174,13 @@ def estimate_mean_photon(
             curvature_interval=(0.0, 0.0),
         )
 
-    def distance(log_mu: float) -> float:
-        return float(
-            np.linalg.norm(p_obs - model_outcome_distribution(params, math.exp(log_mu)))
-        )
-
     log_mu_hat = _point_estimate(p_obs, params, mu_bounds, grid_points)
     mu_hat = math.exp(log_mu_hat)
-    residual = distance(log_mu_hat)
+    residual = _distance(log_mu_hat, p_obs, params)
 
     # curvature of the squared residual in log(mu)
     h = 1e-3
-    sq = lambda v: distance(v) ** 2
+    sq = lambda v: _distance(v, p_obs, params) ** 2
     second = (sq(log_mu_hat + h) - 2 * sq(log_mu_hat) + sq(log_mu_hat - h)) / h**2
     if second > 0:
         half_log = math.sqrt(2.0 * sq(log_mu_hat) / second)
@@ -230,7 +223,3 @@ def estimate_mean_photon(
         n_bootstrap=n_bootstrap,
     )
 
-
-def expected_occupied_bins(params: LoopParams, mean_photon: float) -> float:
-    """Model expectation of the occupied-bin count; strictly increasing."""
-    return mean_occupied_bins(params, mean_photon)

@@ -1,24 +1,46 @@
 """Readers and writers for the on-disk artifact formats.
 
-All floats are serialized with repr-style shortest round-trip precision
-(%.17g in CSV), so identical inputs produce byte-identical files.
+All floats are serialized with round-trip precision (%.17g in CSV), so
+identical inputs produce byte-identical files. CSV lines are written in
+fixed-size blocks, so no artifact is held in memory as one string.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .detector_model import LoopParams
+from .detector_model import LoopParams, POVMSet
 from .errors import ConfigError, DataError
 from .ingest import OutcomeMatrix, TimeTagHistogram
 from .model_fit import FitResult
 from .probe_states import ProbeEnsemble
-from .tomography import POVMSet, ReconstructionReport, UncertaintyBand
+from .tomography import ReconstructionReport, UncertaintyBand
 
 _FLOAT_FMT = "%.17g"
+_BLOCK_LINES = 4096  # CSV lines joined and written per write call
+
+
+def _write_csv(path, header: str, lines) -> None:
+    """Write the header line, then ``lines`` in blocks of _BLOCK_LINES."""
+    lines = iter(lines)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        while block := list(itertools.islice(lines, _BLOCK_LINES)):
+            fh.write("\n".join(block) + "\n")
+
+
+def _labelled_lines(labels, values: np.ndarray):
+    """Lines "label,v_0,...,v_k": an integer label, then round-trip floats."""
+    fmt = "%d," + ",".join([_FLOAT_FMT] * values.shape[1])
+    return (fmt % (label, *row.tolist()) for label, row in zip(labels, values))
+
+
+def _outcome_header(first: str, n_out: int) -> str:
+    return first + "," + ",".join(f"outcome_{n}" for n in range(n_out))
 
 
 def _load_json(path) -> dict:
@@ -33,19 +55,17 @@ def _load_json(path) -> dict:
 
 # -- model parameters ---------------------------------------------------------
 
-def save_params(params: LoopParams, path) -> None:
-    doc = {
+def _params_doc(params: LoopParams) -> dict:
+    return {
         "R": params.reflectivity,
         "eta_loop": params.loop_efficiency,
         "eta_det": params.det_efficiency,
         "n_bins": params.n_bins,
         "bin_period_ns": params.bin_period_ns,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def load_params(path) -> LoopParams:
-    doc = _load_json(path)
+def _params_from_doc(doc, path) -> LoopParams:
     try:
         return LoopParams(
             reflectivity=float(doc["R"]),
@@ -56,8 +76,16 @@ def load_params(path) -> LoopParams:
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: missing parameter {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def save_params(params: LoopParams, path) -> None:
+    Path(path).write_text(json.dumps(_params_doc(params), indent=2) + "\n")
+
+
+def load_params(path) -> LoopParams:
+    return _params_from_doc(_load_json(path), path)
 
 
 # -- probe ensembles ----------------------------------------------------------
@@ -91,10 +119,9 @@ def load_ensemble(path) -> ProbeEnsemble:
 # -- histograms ---------------------------------------------------------------
 
 def save_histogram_csv(hist: TimeTagHistogram, path) -> None:
-    lines = ["bin_width_ps,t0_ps"]
-    lines.append(f"{_FLOAT_FMT % hist.bin_width_ps},{_FLOAT_FMT % hist.t0_ps}")
-    lines.extend(str(c) for c in hist.counts)
-    Path(path).write_text("\n".join(lines) + "\n")
+    values = f"{_FLOAT_FMT % hist.bin_width_ps},{_FLOAT_FMT % hist.t0_ps}"
+    counts = map(str, hist.counts.tolist())
+    _write_csv(path, "bin_width_ps,t0_ps", itertools.chain([values], counts))
 
 
 def load_histogram_csv(path) -> TimeTagHistogram:
@@ -166,12 +193,11 @@ def load_manifest(path) -> dict:
 # -- outcome matrices ---------------------------------------------------------
 
 def save_outcome_matrix(matrix: OutcomeMatrix, path) -> None:
-    n_out = matrix.n_outcomes
-    header = "n_pulses," + ",".join(f"outcome_{n}" for n in range(n_out))
-    lines = [header]
-    for pulses, row in zip(matrix.n_pulses, matrix.values):
-        lines.append(str(int(pulses)) + "," + ",".join(_FLOAT_FMT % v for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(
+        path,
+        _outcome_header("n_pulses", matrix.n_outcomes),
+        _labelled_lines(matrix.n_pulses, matrix.values),
+    )
 
 
 def load_outcome_matrix(path) -> OutcomeMatrix:
@@ -194,23 +220,26 @@ def load_outcome_matrix(path) -> OutcomeMatrix:
 # -- POVM sets ----------------------------------------------------------------
 
 def save_povm_csv(povm: POVMSet, path) -> None:
-    n_out = povm.n_outcomes
-    header = (
-        "fock_index,"
-        + ",".join(f"outcome_{n}" for n in range(n_out))
-        + ",supported"
+    supported = povm.supported if povm.supported is not None else itertools.repeat(1)
+    lines = _labelled_lines(itertools.count(), povm.theta)
+    _write_csv(
+        path,
+        _outcome_header("fock_index", povm.n_outcomes) + ",supported",
+        (f"{line},{int(sup)}" for line, sup in zip(lines, supported)),
     )
-    supported = (
-        povm.supported
-        if povm.supported is not None
-        else np.ones(povm.truncation_dim + 1, dtype=bool)
+
+
+def save_povm_rows_csv(rows: np.ndarray, first_index: int, path) -> None:
+    """One streamed block of POVM rows, numbered from first_index.
+
+    The block format of ``looptomo extrapolate`` over its memory budget:
+    the POVM CSV columns without the support flag.
+    """
+    _write_csv(
+        path,
+        _outcome_header("fock_index", rows.shape[1]),
+        _labelled_lines(itertools.count(first_index), rows),
     )
-    lines = [header]
-    for i, (row, sup) in enumerate(zip(povm.theta, supported)):
-        lines.append(
-            f"{i}," + ",".join(_FLOAT_FMT % v for v in row) + f",{int(sup)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_povm_csv(path) -> POVMSet:
@@ -248,17 +277,9 @@ def save_report(report: ReconstructionReport, path) -> None:
 
 def save_band(band: UncertaintyBand, path) -> None:
     n_out = band.lo.shape[1]
-    header = "fock_index," + ",".join(
-        f"lo_{n},hi_{n}" for n in range(n_out)
-    )
-    lines = [header]
-    for i, (lo, hi) in enumerate(zip(band.lo, band.hi)):
-        cells = []
-        for n in range(n_out):
-            cells.append(_FLOAT_FMT % lo[n])
-            cells.append(_FLOAT_FMT % hi[n])
-        lines.append(f"{i}," + ",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = "fock_index," + ",".join(f"lo_{n},hi_{n}" for n in range(n_out))
+    interleaved = np.stack([band.lo, band.hi], axis=2).reshape(len(band.lo), -1)
+    _write_csv(path, header, _labelled_lines(itertools.count(), interleaved))
 
 
 def load_band(path) -> tuple[np.ndarray, np.ndarray]:
@@ -279,13 +300,7 @@ def load_band(path) -> tuple[np.ndarray, np.ndarray]:
 
 def save_fit_result(result: FitResult, path) -> None:
     doc = {
-        "params": {
-            "R": result.params.reflectivity,
-            "eta_loop": result.params.loop_efficiency,
-            "eta_det": result.params.det_efficiency,
-            "n_bins": result.params.n_bins,
-            "bin_period_ns": result.params.bin_period_ns,
-        },
+        "params": _params_doc(result.params),
         "residual": result.residual,
         "uncertainties": {
             "R": result.uncertainties[0],
@@ -300,15 +315,11 @@ def save_fit_result(result: FitResult, path) -> None:
 
 
 def load_fit_params(path) -> LoopParams:
+    """Parameters of a fit result, or a bare parameter document."""
     doc = _load_json(path)
-    p = doc.get("params", doc)
-    return LoopParams(
-        reflectivity=float(p["R"]),
-        loop_efficiency=float(p["eta_loop"]),
-        det_efficiency=float(p["eta_det"]),
-        n_bins=int(p["n_bins"]),
-        bin_period_ns=float(p.get("bin_period_ns", 156.0)),
-    )
+    if isinstance(doc, dict) and "params" in doc:
+        doc = doc["params"]
+    return _params_from_doc(doc, path)
 
 
 def save_estimate(estimate, path) -> None:

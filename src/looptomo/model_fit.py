@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .detector_model import LoopParams, build_model_povm, model_povm_rows
+from .detector_model import LoopParams, POVMSet, build_model_povm, model_povm_rows
 from .errors import ConfigError, MemoryBudgetError
-from .tomography import POVMSet
 
 DEFAULT_MEMORY_BUDGET_BYTES = 2 << 30
 

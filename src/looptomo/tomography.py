@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
 
+from .detector_model import POVMSet
 from .errors import ConfigError
 from .probe_states import ProbeMatrix, poisson_row
 
@@ -37,40 +38,6 @@ RESIDUAL_FLOOR = 1e-12
 _POLISH_MAX_ENTRIES = 2048
 _ADMM_CHECK_EVERY = 20
 _ADMM_ALPHA = 1.7  # over-relaxation
-
-
-@dataclass(frozen=True)
-class POVMSet:
-    """Diagonal POVM elements theta[i, n] = p(outcome n | i photons)."""
-
-    theta: np.ndarray
-    supported: np.ndarray | None = None
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.ndim != 2:
-            raise ConfigError("POVM matrix must be two-dimensional")
-        if theta.min() < -1e-12 or theta.max() > 1.0 + 1e-12:
-            raise ConfigError("POVM entries must lie in [0, 1]")
-        dev = np.abs(theta.sum(axis=1) - 1.0).max()
-        if dev > 1e-8:
-            raise ConfigError(f"POVM rows must sum to 1 (worst deviation {dev:.2e})")
-        theta.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-        if self.supported is not None:
-            supported = np.asarray(self.supported, dtype=bool)
-            if supported.shape != (theta.shape[0],):
-                raise ConfigError("support mask length must match POVM rows")
-            supported.flags.writeable = False
-            object.__setattr__(self, "supported", supported)
-
-    @property
-    def truncation_dim(self) -> int:
-        return self.theta.shape[0] - 1
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.theta.shape[1]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from looptomo import LoopParams, ProbeEnsemble, fileio
+from looptomo import (
+    LoopParams,
+    OutcomeMatrix,
+    ProbeEnsemble,
+    coherent_outcome_distribution,
+    fileio,
+)
 from looptomo.cli import main
 
 PARAMS = LoopParams(0.89613, 0.9064, 0.4912, 10)
@@ -269,7 +275,7 @@ class TestMoreSurfaces:
 
         params_path = tmp_path / "params.json"
         fileio.save_params(PARAMS, params_path)
-        p_obs = lt.model_outcome_distribution(PARAMS, 250.0)
+        p_obs = lt.coherent_outcome_distribution(PARAMS, 250.0)
         matrix = lt.OutcomeMatrix(p_obs[None, :], np.array([10**6]))
         dist_path = tmp_path / "dist.csv"
         fileio.save_outcome_matrix(matrix, dist_path)
@@ -375,6 +381,47 @@ class TestExitCodes:
         ]
         assert main(args) == 4
         assert main(args + ["--allow-unconverged"]) == 0
+
+    def test_fit_missing_key_is_config_error(self, tmp_path):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(
+            json.dumps({"params": {"R": 0.9, "eta_det": 0.5, "n_bins": 10}})
+        )
+        dist_path = tmp_path / "dist.csv"
+        fileio.save_outcome_matrix(
+            OutcomeMatrix(np.eye(11)[:1], np.array([100])), dist_path
+        )
+        code = main(
+            [
+                "estimate",
+                "--fit", str(fit_path),
+                "--outcome-dist", str(dist_path),
+                "--out", str(tmp_path / "est.json"),
+            ]
+        )
+        assert code == 2
+
+    def test_two_state_mixture_is_data_error(self, tmp_path):
+        bright = LoopParams(0.89613, 0.9064, 0.4912, 119)
+        params_path = tmp_path / "params.json"
+        fileio.save_params(bright, params_path)
+        mix = 0.5 * (
+            coherent_outcome_distribution(bright, 50.0)
+            + coherent_outcome_distribution(bright, 5e4)
+        )
+        dist_path = tmp_path / "mix.csv"
+        fileio.save_outcome_matrix(
+            OutcomeMatrix(mix[None, :], np.array([10**6])), dist_path
+        )
+        code = main(
+            [
+                "estimate",
+                "--params", str(params_path),
+                "--outcome-dist", str(dist_path),
+                "--out", str(tmp_path / "est.json"),
+            ]
+        )
+        assert code == 3
 
     def test_console_script_runs(self):
         out = subprocess.run(

@@ -14,6 +14,7 @@ from looptomo import (
     poisson_binomial_bruteforce,
     poisson_binomial_closed,
     poisson_binomial_pmf,
+    poisson_binomial_rows,
     simulate_bin_clicks,
     simulate_bin_totals,
 )
@@ -156,6 +157,30 @@ class TestPoissonBinomialClosed:
         for _ in range(50):
             p = rng.random(int(rng.integers(1, 120)))
             assert abs(poisson_binomial_pmf(p).sum() - 1.0) < 1e-10
+
+
+class TestPoissonBinomialRows:
+    def test_many_rows_match_single_rows_and_enumeration(self):
+        # many rows take the per-bin pass, one row the vectorised product
+        rng = np.random.default_rng(11)
+        for nb in range(13):
+            pmat = rng.random((7, nb))
+            pmfs = poisson_binomial_rows(pmat)
+            assert pmfs.shape == (7, nb + 1)
+            for r, p in enumerate(pmat):
+                single = poisson_binomial_rows(p[None, :])[0]
+                assert np.abs(pmfs[r] - single).max() < 1e-15
+                brute = [poisson_binomial_bruteforce(p, n) for n in range(nb + 1)]
+                assert np.abs(pmfs[r] - brute).max() < 1e-10
+
+    @pytest.mark.parametrize("nb", [50, 119])
+    @pytest.mark.parametrize("rows", [1, 64])
+    def test_rows_are_distributions_at_large_bin_counts(self, nb, rows):
+        rng = np.random.default_rng(nb + rows)
+        pmat = rng.random((rows, nb)) ** rng.uniform(0.05, 20.0, (rows, 1))
+        pmfs = poisson_binomial_rows(pmat)
+        assert pmfs.min() >= 0.0
+        assert np.abs(pmfs.sum(axis=1) - 1.0).max() < 1e-12
 
 
 class TestFockOutcomeDistribution:

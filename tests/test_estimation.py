@@ -4,13 +4,13 @@ import pytest
 from looptomo import (
     DataError,
     LoopParams,
+    coherent_outcome_distribution,
     crosscheck_fock_path,
     estimate_mean_photon,
-    model_outcome_distribution,
+    mean_occupied_bins,
     simulate_bin_totals,
 )
 from looptomo.detector_model import fock_sum_bin_prob, bin_click_prob_coherent
-from looptomo.estimation import expected_occupied_bins
 from looptomo.ingest import bin_probabilities, outcome_probabilities
 
 BRIGHT = LoopParams(0.89613, 0.9064, 0.4912, 119)
@@ -26,14 +26,14 @@ class TestEstimateMeanPhoton:
         assert est.confidence_interval == (0.0, 0.0)
 
     def test_noiseless_bright_state(self):
-        p = model_outcome_distribution(BRIGHT, 71000.0)
+        p = coherent_outcome_distribution(BRIGHT, 71000.0)
         est = estimate_mean_photon(p, BRIGHT)
         assert abs(est.mean_photon / 71000.0 - 1.0) < 1e-3
         assert est.residual < 1e-9
 
     @pytest.mark.parametrize("mu", [1.0, 100.0, 10_000.0, 71_000.0])
     def test_round_trip_consistency(self, mu):
-        p = model_outcome_distribution(BRIGHT, mu)
+        p = coherent_outcome_distribution(BRIGHT, mu)
         est = estimate_mean_photon(p, BRIGHT)
         assert abs(est.mean_photon / mu - 1.0) < 1e-6
 
@@ -47,8 +47,8 @@ class TestEstimateMeanPhoton:
             estimate_mean_photon(np.ones(11) / 11, BRIGHT)
 
     def test_two_state_mixture_aborts(self):
-        mix = 0.5 * model_outcome_distribution(BRIGHT, 2.0)
-        mix = mix + 0.5 * model_outcome_distribution(BRIGHT, 71_000.0)
+        mix = 0.5 * coherent_outcome_distribution(BRIGHT, 2.0)
+        mix = mix + 0.5 * coherent_outcome_distribution(BRIGHT, 71_000.0)
         with pytest.raises(RuntimeError):
             estimate_mean_photon(mix, BRIGHT)
 
@@ -70,7 +70,7 @@ class TestEstimateMeanPhoton:
         assert hits >= 90
 
     def test_bootstrap_requires_pulse_count(self):
-        p = model_outcome_distribution(BRIGHT, 100.0)
+        p = coherent_outcome_distribution(BRIGHT, 100.0)
         with pytest.raises(DataError):
             estimate_mean_photon(p, BRIGHT, n_bootstrap=10)
 
@@ -103,13 +103,13 @@ class TestPathEquivalence:
         # the joint distributions differ by the covariance the
         # independent-bin Fock rows ignore: second order in the per-bin
         # rates, far below the per-outcome scale at the bright config
-        p_analytic = model_outcome_distribution(BRIGHT, 71_000.0)
+        p_analytic = coherent_outcome_distribution(BRIGHT, 71_000.0)
         p_fock = crosscheck_fock_path(71_000.0, BRIGHT)
         assert np.abs(p_fock - p_analytic).max() < 5e-5
         assert abs(p_fock.sum() - 1.0) < 1e-8
 
     def test_moderate_scale_difference_is_second_order(self):
-        p_analytic = model_outcome_distribution(TEN, 100.0)
+        p_analytic = coherent_outcome_distribution(TEN, 100.0)
         p_fock = crosscheck_fock_path(100.0, TEN)
         # dominated by q_1^2-scale covariance terms
         assert np.abs(p_fock - p_analytic).max() < 2e-2
@@ -119,5 +119,5 @@ class TestPathEquivalence:
 class TestMonotonicity:
     def test_expected_occupancy_strictly_increasing(self):
         mus = np.geomspace(1e-2, 1e6, 50)
-        occ = np.array([expected_occupied_bins(BRIGHT, m) for m in mus])
+        occ = np.array([mean_occupied_bins(BRIGHT, m) for m in mus])
         assert np.all(np.diff(occ) > 0)

@@ -112,6 +112,28 @@ class TestPovmRoundTrip:
         np.testing.assert_array_equal(back.theta, povm.theta)
         np.testing.assert_array_equal(back.supported, sup)
 
+    @pytest.mark.parametrize("block_lines", [2, 4096])
+    def test_pinned_bytes(self, tmp_path, monkeypatch, block_lines):
+        # block boundaries must not show in the bytes
+        monkeypatch.setattr(fileio, "_BLOCK_LINES", block_lines)
+        theta = np.array([[1.0, 0.0], [0.25, 0.75], [0.1, 0.9]])
+        path = tmp_path / "povm.csv"
+        fileio.save_povm_csv(POVMSet(theta, [True, True, False]), path)
+        assert path.read_text() == (
+            "fock_index,outcome_0,outcome_1,supported\n"
+            "0,1,0,1\n"
+            "1,0.25,0.75,1\n"
+            "2,0.10000000000000001,0.90000000000000002,0\n"
+        )
+        part = tmp_path / "ext.rows2048-2050.csv"
+        fileio.save_povm_rows_csv(theta, 2048, part)
+        assert part.read_text() == (
+            "fock_index,outcome_0,outcome_1\n"
+            "2048,1,0\n"
+            "2049,0.25,0.75\n"
+            "2050,0.10000000000000001,0.90000000000000002\n"
+        )
+
     def test_float_round_trip_is_exact(self, params, tmp_path):
         # %.17g preserves doubles bit-exactly
         povm = build_model_povm(params, 200)
