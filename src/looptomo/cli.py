@@ -187,11 +187,7 @@ def _cmd_reconstruct(args) -> int:
         if epsilon is None:
             epsilon = sweep.corner_epsilon
         curve_path = out.with_suffix(".lcurve.csv")
-        lines = ["epsilon,residual,smoothness,objective"]
-        for p in sweep.points:
-            lines.append("%.17g,%.17g,%.17g,%.17g"
-                         % (p.epsilon, p.residual, p.smoothness, p.objective))
-        curve_path.write_text("\n".join(lines) + "\n")
+        fileio.save_lcurve(sweep, curve_path)
         print(f"L-curve written to {curve_path}; corner epsilon {epsilon:g}")
 
     cfg = tomography.SmoothingConfig(
@@ -308,11 +304,17 @@ def _cmd_estimate(args) -> int:
         seed=args.seed,
     )
     fileio.save_estimate(estimate, args.out)
-    lo, hi = estimate.confidence_interval
-    print(
-        f"mean photon number {estimate.mean_photon:.6g} "
-        f"[{lo:.6g}, {hi:.6g}] ({estimate.method})"
-    )
+    if estimate.confidence_interval is None:
+        print(
+            f"mean photon number {estimate.mean_photon:.6g} (point estimate; "
+            "--bootstrap N --pulses P gives a confidence interval)"
+        )
+    else:
+        lo, hi = estimate.confidence_interval
+        print(
+            f"mean photon number {estimate.mean_photon:.6g} "
+            f"[{lo:.6g}, {hi:.6g}] ({estimate.method})"
+        )
     return EXIT_OK
 
 

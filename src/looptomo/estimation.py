@@ -42,7 +42,8 @@ class BrightStateEstimate:
 
     mean_photon: float
     residual: float
-    confidence_interval: tuple[float, float]
+    #: the bootstrap interval, or None when no bootstrap ran
+    confidence_interval: tuple[float, float] | None
     method: str
     curvature_interval: tuple[float, float]
     bootstrap_interval: tuple[float, float] | None = None
@@ -148,10 +149,13 @@ def estimate_mean_photon(
     state).
 
     The curvature interval scales the quadratic approximation of the
-    squared residual to its doubling point. When ``n_pulses`` and
-    ``n_bootstrap`` are given, a parametric bootstrap (binomial resampling
-    of every bin at the fitted rates) provides a basic (reflected)
-    interval, which then becomes the reported confidence interval.
+    squared residual to its doubling point; it is reported on its own and
+    is not a confidence interval (in seeded bright-state trials it held
+    the true mean far less often than 95% of the time). When ``n_pulses``
+    and ``n_bootstrap`` are given, a parametric bootstrap (binomial
+    resampling of every bin at the fitted rates) provides a basic
+    (reflected) interval, which is the reported confidence interval;
+    without a bootstrap the confidence interval is None.
     """
     p_obs = np.asarray(p_outcomes, dtype=float)
     if p_obs.shape != (params.n_outcomes,):
@@ -189,7 +193,7 @@ def estimate_mean_photon(
     curvature_iv = (mu_hat * math.exp(-half_log), mu_hat * math.exp(half_log))
 
     bootstrap_iv = None
-    method = "curvature"
+    method = "point"
     if n_bootstrap > 0:
         if n_pulses is None:
             raise DataError("bootstrap requires n_pulses")
@@ -212,11 +216,10 @@ def estimate_mean_photon(
         )
         method = "bootstrap"
 
-    interval = bootstrap_iv if bootstrap_iv is not None else curvature_iv
     return BrightStateEstimate(
         mean_photon=mu_hat,
         residual=residual,
-        confidence_interval=interval,
+        confidence_interval=bootstrap_iv,
         method=method,
         curvature_interval=curvature_iv,
         bootstrap_interval=bootstrap_iv,

@@ -18,7 +18,7 @@ from .errors import ConfigError, DataError
 from .ingest import OutcomeMatrix, TimeTagHistogram
 from .model_fit import FitResult
 from .probe_states import ProbeEnsemble
-from .tomography import ReconstructionReport, UncertaintyBand
+from .tomography import ReconstructionReport, SweepResult, UncertaintyBand
 
 _FLOAT_FMT = "%.17g"
 _BLOCK_LINES = 4096  # CSV lines joined and written per write call
@@ -125,15 +125,23 @@ def save_histogram_csv(hist: TimeTagHistogram, path) -> None:
 
 
 def load_histogram_csv(path) -> TimeTagHistogram:
-    lines = Path(path).read_text().splitlines()
-    if len(lines) < 3 or lines[0].strip() != "bin_width_ps,t0_ps":
+    """Header, "bin_width_ps,t0_ps" values, then one integer count per line
+    (blank lines skipped), parsed by numpy's C reader."""
+    with open(path) as fh:
+        header, values = fh.readline(), fh.readline()
+        has_counts = any(line.strip() for line in fh)
+    if header.strip() != "bin_width_ps,t0_ps" or not has_counts:
         raise ConfigError(f"{path}: not a histogram CSV")
     try:
-        bw, t0 = (float(x) for x in lines[1].split(","))
-        counts = np.array([int(x) for x in lines[2:] if x.strip()], dtype=np.int64)
+        bw, t0 = (float(x) for x in values.split(","))
+        counts = np.loadtxt(
+            path, dtype=np.int64, comments=None, skiprows=2, ndmin=2
+        )
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    return TimeTagHistogram(counts, bw, t0)
+    if counts.shape[1] != 1:
+        raise DataError(f"{path}: {counts.shape[1]} counts on one line")
+    return TimeTagHistogram(counts[:, 0], bw, t0)
 
 
 def save_histogram_json(hist: TimeTagHistogram, path) -> None:
@@ -271,8 +279,22 @@ def save_report(report: ReconstructionReport, path) -> None:
         "wall_time_s": report.wall_time_s,
         "epsilon": report.epsilon,
         "n_unsupported": report.n_unsupported,
+        "rho_changes": report.rho_changes,
+        "primal_residual": report.primal_residual,
+        "dual_residual": report.dual_residual,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def save_lcurve(sweep: SweepResult, path) -> None:
+    """One line per smoothing weight of an epsilon sweep."""
+    fmt = ",".join([_FLOAT_FMT] * 4)
+    _write_csv(
+        path,
+        "epsilon,residual,smoothness,objective",
+        (fmt % (p.epsilon, p.residual, p.smoothness, p.objective)
+         for p in sweep.points),
+    )
 
 
 def save_band(band: UncertaintyBand, path) -> None:
@@ -322,18 +344,18 @@ def load_fit_params(path) -> LoopParams:
     return _params_from_doc(doc, path)
 
 
+def _optional_list(interval):
+    return None if interval is None else list(interval)
+
+
 def save_estimate(estimate, path) -> None:
     doc = {
         "mean_photon": estimate.mean_photon,
         "residual": estimate.residual,
-        "confidence_interval": list(estimate.confidence_interval),
+        "confidence_interval": _optional_list(estimate.confidence_interval),
         "method": estimate.method,
         "curvature_interval": list(estimate.curvature_interval),
-        "bootstrap_interval": (
-            list(estimate.bootstrap_interval)
-            if estimate.bootstrap_interval is not None
-            else None
-        ),
+        "bootstrap_interval": _optional_list(estimate.bootstrap_interval),
         "n_bootstrap": estimate.n_bootstrap,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")

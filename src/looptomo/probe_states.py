@@ -21,6 +21,9 @@ _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 #: Completeness a truncated probe row is expected to retain.
 ROW_COMPLETENESS_TOL = 1e-9
 
+#: Smallest normal double; poisson_pmf returns 0 below it.
+_TINY = np.finfo(float).tiny
+
 
 def _stirling_correction(n: np.ndarray) -> np.ndarray:
     """ln n! - [n ln n - n + 0.5 ln(2 pi n)] for n >= 1, to ~1e-16 absolute."""
@@ -64,6 +67,10 @@ def poisson_pmf(counts: np.ndarray, mean_photon: float) -> np.ndarray:
     to ~1e-14 relative near the mode even for means of order 1e5, where the
     plain ``exp(i ln mu - mu - lgamma(i+1))`` expression loses digits to
     cancellation between large terms.
+
+    Masses below the smallest normal double are returned as exactly 0:
+    subnormal operands slow every dense product with a probe matrix by a
+    factor 2-3, and they carry no mass a row sum can see.
     """
     if mean_photon < 0:
         raise ValueError(f"mean_photon must be >= 0, got {mean_photon}")
@@ -80,6 +87,7 @@ def poisson_pmf(counts: np.ndarray, mean_photon: float) -> np.ndarray:
         out[~zero] = np.exp(-_stirling_correction(pos) - dev) / np.sqrt(
             2.0 * math.pi * pos
         )
+    out[out < _TINY] = 0.0
     return out
 
 

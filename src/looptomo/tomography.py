@@ -11,8 +11,9 @@ axis and is always applied through its sparse second-difference operator,
 never as a dense (M+1)^2 matrix.
 
 Solver: an operator-splitting (ADMM) phase with exact subproblem solves
-(banded Cholesky of the smoothing block plus a low-rank probe update)
-handles any scale; on problems small enough for dense KKT systems an
+(tridiagonal LDL^T factorization of the smoothing block plus a low-rank
+Woodbury probe update, two probe-by-Fock products per iteration) handles
+any scale; on problems small enough for dense KKT systems an
 active-set Newton polish, wrapped in a majorize-minimize loop for the
 unsquared norm, pushes the iterate to machine-precision optimality.
 """
@@ -21,12 +22,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .detector_model import POVMSet
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .probe_states import ProbeMatrix, poisson_row
 
 #: Column mass of F below which a Fock index counts as unconstrained by data.
@@ -38,6 +41,7 @@ RESIDUAL_FLOOR = 1e-12
 _POLISH_MAX_ENTRIES = 2048
 _ADMM_CHECK_EVERY = 20
 _ADMM_ALPHA = 1.7  # over-relaxation
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,12 @@ class ReconstructionReport:
     wall_time_s: float
     epsilon: float
     n_unsupported: int
+    #: ADMM penalty-parameter changes made by residual balancing
+    rho_changes: int
+    #: primal and dual residuals at the last ADMM check, each scaled as in
+    #: the stopping test against SmoothingConfig.solver_tol
+    primal_residual: float
+    dual_residual: float
     objective_trace: tuple = field(repr=False, default=())
 
 
@@ -106,40 +116,63 @@ def _objective(F, P, theta, epsilon):
 
 
 class _ThetaSolver:
-    """Exact solve of (2 eps DtD + rho I + rho F^T F) X = B.
+    """Exact theta-update: solve (2 eps DtD + rho I + rho F^T F) theta = b
+    for b = rho F^T a + rho v.
 
-    The smoothing-plus-identity block is tridiagonal (banded Cholesky in
-    O(M)); the probe Gram term has rank at most the number of probes and
-    enters through a Woodbury correction with a dense probe-sized factor.
+    K = rho I + 2 eps DtD is tridiagonal and is factored once as L D L^T
+    (LAPACK dpttrf). The probe Gram term has rank at most the number of
+    probes and enters through a Woodbury correction built from the
+    probe-sized G = F K^-1 F^T and W = I / rho + G. With c = K^-1 v,
+    w = W^-1 rho (G a + F c) and g = rho a - w,
+
+        theta = (K^-1 F^T) g + rho c,    F theta = G g + rho F c,
+
+    so an update costs two products of probe-by-Fock size.
     """
 
     def __init__(self, F: np.ndarray, epsilon: float, rho: float):
         m1 = F.shape[1]
         diag = np.full(m1, rho)
-        if m1 == 1:
-            ab = np.zeros((1, 1))
-            ab[0, 0] = diag[0]
-        else:
-            diag[0] += 2 * epsilon
-            diag[-1] += 2 * epsilon
+        if m1 > 1:
+            diag[[0, -1]] += 2 * epsilon
             diag[1:-1] += 4 * epsilon
-            ab = np.zeros((2, m1))
-            ab[0, 1:] = -2 * epsilon
-            ab[1, :] = diag
-        self._cb = cholesky_banded(ab, lower=False)
-        self._F = F
-        k_inv_ft = cho_solve_banded((self._cb, False), F.T)
-        self._wf = cho_factor(np.eye(F.shape[0]) / rho + F @ k_inv_ft)
-        self._k_inv_ft = k_inv_ft
+        # dpttrf wants an off-diagonal of length >= 1 even when m1 == 1
+        off = np.full(max(m1 - 1, 1), -2 * epsilon)
+        self._d, self._e, info = dpttrf(diag, off)
+        if info:
+            raise np.linalg.LinAlgError(f"smoothing block not positive (info {info})")
+        self._rho = rho
+        self._k_inv_ft = self._k_solve(F.T)
+        self._k_inv_ft[np.abs(self._k_inv_ft) < _TINY] = 0.0
+        self._gram = F @ self._k_inv_ft
+        self._wf = cho_factor(np.eye(F.shape[0]) / rho + self._gram)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        y = cho_solve_banded((self._cb, False), b)
-        return y - self._k_inv_ft @ cho_solve(self._wf, self._F @ y)
+    def _k_solve(self, b: np.ndarray) -> np.ndarray:
+        return dpttrs(self._d, self._e, b)[0]
+
+    def update(self, F: np.ndarray, a: np.ndarray, v: np.ndarray):
+        """(theta, F theta) for the right-hand side rho F^T a + rho v."""
+        rho = self._rho
+        c = self._k_solve(v)
+        f_c = F @ c
+        g = rho * a - cho_solve(self._wf, rho * (self._gram @ a + f_c))
+        return self._k_inv_ft @ g + rho * c, self._gram @ g + rho * f_c
 
 
-def _admm_phase(F, P, epsilon, cfg: SmoothingConfig, max_iter: int | None = None):
-    """Splitting phase. Returns (best feasible theta, best objective,
-    iterations, trace, residuals_met)."""
+class _AdmmResult(NamedTuple):
+    theta: np.ndarray  # best feasible iterate
+    iterations: int
+    trace: list
+    met: bool  # scaled residuals below solver_tol
+    rho_changes: int
+    primal_residual: float  # scaled, at the last check
+    dual_residual: float
+
+
+def _admm_phase(
+    F, P, epsilon, cfg: SmoothingConfig, max_iter: int | None = None
+) -> _AdmmResult:
+    """Splitting phase: theta-update, residual-norm prox, simplex projection."""
     if max_iter is None:
         max_iter = cfg.max_iterations
     n_probes, m1 = F.shape
@@ -157,11 +190,11 @@ def _admm_phase(F, P, epsilon, cfg: SmoothingConfig, max_iter: int | None = None
     norm_primal = np.sqrt(P.size + theta.size)
     norm_dual = np.sqrt(theta.size)
     met = False
+    rho_changes = 0
+    pr_scaled = dr_scaled = float("nan")
     it = 0
     for it in range(1, max_iter + 1):
-        b = rho * (F.T @ (P - r_block + u1)) + rho * (z - u2)
-        theta = solver.solve(b)
-        f_theta = F @ theta
+        theta, f_theta = solver.update(F, P - r_block + u1, z - u2)
         # over-relaxation
         f_relaxed = _ADMM_ALPHA * f_theta + (1 - _ADMM_ALPHA) * (P - r_block)
         t_relaxed = _ADMM_ALPHA * theta + (1 - _ADMM_ALPHA) * z
@@ -182,7 +215,8 @@ def _admm_phase(F, P, epsilon, cfg: SmoothingConfig, max_iter: int | None = None
             if obj < best_obj:
                 best_obj, best = obj, z
             trace.append(best_obj)
-            if max(pr / norm_primal, dr / norm_dual) < cfg.solver_tol:
+            pr_scaled, dr_scaled = float(pr / norm_primal), float(dr / norm_dual)
+            if max(pr_scaled, dr_scaled) < cfg.solver_tol:
                 met = True
                 break
             # residual balancing
@@ -190,13 +224,15 @@ def _admm_phase(F, P, epsilon, cfg: SmoothingConfig, max_iter: int | None = None
                 rho *= 2.0
                 u1 /= 2.0
                 u2 /= 2.0
+                rho_changes += 1
                 solver = _ThetaSolver(F, epsilon, rho)
             elif dr > 10 * pr:
                 rho /= 2.0
                 u1 *= 2.0
                 u2 *= 2.0
+                rho_changes += 1
                 solver = _ThetaSolver(F, epsilon, rho)
-    return best, best_obj, it, trace, met
+    return _AdmmResult(best, it, trace, met, rho_changes, pr_scaled, dr_scaled)
 
 
 def _active_set_qp(Q, b_flat, x0, max_pivots, tol):
@@ -277,8 +313,11 @@ def _polish_phase(F, P, epsilon, theta, cfg: SmoothingConfig, trace):
             q_mat, (ftp / s).ravel(), theta, max_pivots=400, tol=cfg.grad_tol
         )
         obj, _, _ = _objective(F, P, theta_new, epsilon)
-        improved = obj < prev_obj - 1e-15 * max(1.0, prev_obj)
-        if obj <= prev_obj:
+        noise = 1e-15 * max(1.0, prev_obj)
+        improved = obj < prev_obj - noise
+        # an exact QP solve whose objective ties within rounding is the
+        # better-converged point; only a real increase rejects it
+        if obj <= prev_obj + noise:
             theta = theta_new
             trace.append(obj)
             prev_obj = obj
@@ -332,12 +371,13 @@ def reconstruct(
         raise ConfigError(
             f"probe matrix has {F.shape[0]} rows but outcome matrix {P.shape[0]}"
         )
+    if not (np.isfinite(F).all() and np.isfinite(P).all()):
+        raise DataError("probe and outcome matrices must be finite")
     t_start = time.perf_counter()
     can_polish = (F.shape[1] * P.shape[1]) <= _POLISH_MAX_ENTRIES
     admm_cap = min(cfg.max_iterations, 2000) if can_polish else None
-    theta, best_obj, iterations, trace, admm_met = _admm_phase(
-        F, P, cfg.epsilon, cfg, max_iter=admm_cap
-    )
+    admm = _admm_phase(F, P, cfg.epsilon, cfg, max_iter=admm_cap)
+    theta, trace = admm.theta, admm.trace
     polished = False
     if can_polish:
         theta, polished = _polish_phase(F, P, cfg.epsilon, theta, cfg, trace)
@@ -363,12 +403,15 @@ def reconstruct(
         residual=resid,
         penalty=cfg.epsilon * smooth,
         smoothness=smooth,
-        iterations=iterations,
-        converged=bool(admm_met or polished),
+        iterations=admm.iterations,
+        converged=bool(admm.met or polished),
         grad_norm=grad_norm,
         wall_time_s=time.perf_counter() - t_start,
         epsilon=cfg.epsilon,
         n_unsupported=int((~supported).sum()),
+        rho_changes=admm.rho_changes,
+        primal_residual=admm.primal_residual,
+        dual_residual=admm.dual_residual,
         objective_trace=tuple(trace),
     )
     return POVMSet(theta, supported), report

@@ -96,6 +96,8 @@ class TestPipeline:
         assert povm_path.exists()
         report = json.loads(povm_path.with_suffix(".report.json").read_text())
         assert report["converged"]
+        assert report["rho_changes"] >= 0
+        assert report["primal_residual"] >= 0 and report["dual_residual"] >= 0
         povm = fileio.load_povm_csv(povm_path)
         assert povm.theta.shape == (63, 11)
 
@@ -269,6 +271,30 @@ class TestMoreSurfaces:
             ["export-plots", "--povm", str(bad), "--out-dir", str(tmp_path / "p")]
         )
         assert code == 3
+
+    def test_estimate_without_bootstrap_reports_no_interval(self, tmp_path, capsys):
+        params_path = tmp_path / "params.json"
+        fileio.save_params(PARAMS, params_path)
+        p_obs = coherent_outcome_distribution(PARAMS, 250.0)
+        dist_path = tmp_path / "dist.csv"
+        fileio.save_outcome_matrix(
+            OutcomeMatrix(p_obs[None, :], np.array([10**6])), dist_path
+        )
+        est_path = tmp_path / "est.json"
+        code = main(
+            [
+                "estimate",
+                "--params", str(params_path),
+                "--outcome-dist", str(dist_path),
+                "--out", str(est_path),
+            ]
+        )
+        assert code == 0
+        doc = json.loads(est_path.read_text())
+        assert doc["confidence_interval"] is None
+        lo, hi = doc["curvature_interval"]
+        assert lo <= doc["mean_photon"] <= hi
+        assert "--bootstrap N --pulses P" in capsys.readouterr().out
 
     def test_estimate_from_outcome_dist_file(self, tmp_path):
         import looptomo as lt

@@ -25,6 +25,14 @@ class TestEstimateMeanPhoton:
         assert est.mean_photon == 0.0
         assert est.confidence_interval == (0.0, 0.0)
 
+    def test_no_bootstrap_means_no_confidence_interval(self):
+        p = coherent_outcome_distribution(BRIGHT, 5000.0)
+        est = estimate_mean_photon(p, BRIGHT)
+        assert est.confidence_interval is None
+        assert est.bootstrap_interval is None
+        lo, hi = est.curvature_interval
+        assert lo <= est.mean_photon <= hi
+
     def test_noiseless_bright_state(self):
         p = coherent_outcome_distribution(BRIGHT, 71000.0)
         est = estimate_mean_photon(p, BRIGHT)

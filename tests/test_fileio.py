@@ -1,17 +1,26 @@
+import json
+
 import numpy as np
 import pytest
 
 from looptomo import (
     BinningConfig,
     ConfigError,
+    DataError,
     LoopParams,
     OutcomeMatrix,
     POVMSet,
     ProbeEnsemble,
+    SmoothingConfig,
     build_model_povm,
+    coherent_outcome_distribution,
+    estimate_mean_photon,
     histogram_from_bin_counts,
+    reconstruct,
 )
 from looptomo import fileio
+from looptomo.probe_states import poisson_row
+from looptomo.tomography import SweepPoint, SweepResult
 
 
 @pytest.fixture
@@ -88,6 +97,36 @@ class TestHistogramRoundTrip:
         with pytest.raises(ConfigError):
             fileio.load_histogram_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            ("bin_width,t0\n10,1000\n5\n", ConfigError),
+            ("bin_width_ps,t0_ps\n10,1000\n", ConfigError),
+            ("bin_width_ps,t0_ps\n10,1000\n\n \n", ConfigError),
+            ("bin_width_ps,t0_ps\n10,1000\n5\n1.5\n", DataError),
+            ("bin_width_ps,t0_ps\n10,1000\n5\n1 2\n", DataError),
+            ("bin_width_ps,t0_ps\n10,1000\n5\n1,2\n", DataError),
+            ("bin_width_ps,t0_ps\n10,1000\n1,2\n3,4\n", DataError),
+            ("bin_width_ps,t0_ps\n10,1000\n5\n#3\n", DataError),
+            ("bin_width_ps,t0_ps\n10,1000\n5\n-3\n", DataError),
+            ("bin_width_ps,t0_ps\nten,1000\n5\n", DataError),
+            ("bin_width_ps,t0_ps\n10,1000\n5\n\n7\n \n+2\n", [5, 7, 2]),
+            ("bin_width_ps,t0_ps\r\n10,1000\r\n 5 \r\n0\r\n", [5, 0]),
+        ],
+    )
+    def test_csv_reader_table(self, tmp_path, recwarn, text, outcome):
+        path = tmp_path / "h.csv"
+        path.write_bytes(text.encode())
+        if isinstance(outcome, list):
+            hist = fileio.load_histogram_csv(path)
+            np.testing.assert_array_equal(hist.counts, outcome)
+            assert hist.counts.dtype == np.int64
+            assert (hist.bin_width_ps, hist.t0_ps) == (10.0, 1000.0)
+        else:
+            with pytest.raises(outcome):
+                fileio.load_histogram_csv(path)
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
 
 class TestOutcomeMatrixRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -141,6 +180,43 @@ class TestPovmRoundTrip:
         fileio.save_povm_csv(povm, path)
         back = fileio.load_povm_csv(path)
         assert np.array_equal(back.theta, povm.theta)
+
+
+class TestLcurveAndReport:
+    def test_lcurve_pinned_bytes(self, tmp_path):
+        points = (SweepPoint(1e-6, 0.25, 3.0, 0.250003),
+                  SweepPoint(0.1, 1 / 3, 2e-3, 0.33353333333333335))
+        path = tmp_path / "povm.lcurve.csv"
+        fileio.save_lcurve(SweepResult(points, 0.1, ()), path)
+        assert path.read_text() == (
+            "epsilon,residual,smoothness,objective\n"
+            "9.9999999999999995e-07,0.25,3,0.25000299999999998\n"
+            "0.10000000000000001,0.33333333333333331,0.002,"
+            "0.33353333333333335\n"
+        )
+
+    def test_report_json_carries_solver_account(self, tmp_path):
+        f_mat = np.vstack([poisson_row(m, 20) for m in (0.0, 2.0, 5.0, 9.0)])
+        p_mat = f_mat @ build_model_povm(LoopParams(0.9, 0.9, 0.5, 2), 20).theta
+        _, report = reconstruct(f_mat, p_mat, SmoothingConfig(epsilon=1e-4))
+        path = tmp_path / "r.json"
+        fileio.save_report(report, path)
+        doc = json.loads(path.read_text())
+        assert doc["rho_changes"] == report.rho_changes
+        assert doc["primal_residual"] == report.primal_residual
+        assert doc["dual_residual"] == report.dual_residual
+
+
+class TestEstimateJson:
+    def test_no_bootstrap_writes_null_interval(self, params, tmp_path):
+        p = coherent_outcome_distribution(params, 40.0)
+        est = estimate_mean_photon(p, params)
+        path = tmp_path / "est.json"
+        fileio.save_estimate(est, path)
+        doc = json.loads(path.read_text())
+        assert doc["confidence_interval"] is None
+        assert doc["bootstrap_interval"] is None
+        assert doc["curvature_interval"] == list(est.curvature_interval)
 
 
 class TestManifest:

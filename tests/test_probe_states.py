@@ -43,6 +43,10 @@ class TestPoissonRow:
             exact = float(mp.exp(i * mp.log(mu) - mu - mp.loggamma(i + 1)))
             assert abs(row[i] - exact) / exact < 1e-12
 
+    def test_no_subnormal_entries(self):
+        row = poisson_row(4900.0, 5328)
+        assert not np.any((row > 0) & (row < np.finfo(float).tiny))
+
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
             poisson_row(-0.5, 4)
@@ -111,6 +115,9 @@ class TestBuildProbeMatrix:
     def test_standard_ensemble_dimensions(self):
         mat = build_probe_matrix(ProbeEnsemble.quadratic())
         assert mat.values.shape == (71, 5329)
+        # no subnormal entries: they would slow every product with F
+        v = mat.values
+        assert not np.any((v > 0) & (v < np.finfo(float).tiny))
 
     def test_row_completeness_within_1e9(self):
         # the 6-sigma rule with the 5328 override keeps every tail below 1e-9

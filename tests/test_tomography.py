@@ -3,6 +3,7 @@ import pytest
 
 from looptomo import (
     ConfigError,
+    DataError,
     LoopParams,
     POVMSet,
     ProbeMatrix,
@@ -20,6 +21,7 @@ from looptomo import (
 )
 from looptomo.ingest import bin_probabilities, outcome_probabilities
 from looptomo.probe_states import poisson_row
+from looptomo.tomography import _ThetaSolver
 
 DEVICE3 = LoopParams(0.89613, 0.9064, 0.4912, 3)
 
@@ -107,6 +109,17 @@ class TestReconstruct:
         povm_b, _ = reconstruct(f_mat[perm], p_mat[perm], cfg)
         np.testing.assert_allclose(povm_a.theta, povm_b.theta, atol=1e-8)
 
+    @pytest.mark.parametrize("seed, perm_seed", [(8, 1), (8, 3), (9, 1)])
+    def test_permutation_equivariance_through_polish(self, seed, perm_seed):
+        # cases where the majorize-minimize polish once stopped on a
+        # rounding-level objective tie, 1e-7 away along a flat direction
+        f_mat, p_mat, _, _ = small_problem(noise_pulses=10**5, seed=seed)
+        cfg = SmoothingConfig(epsilon=1e-4)
+        povm_a, _ = reconstruct(f_mat, p_mat, cfg)
+        perm = np.random.default_rng(perm_seed).permutation(f_mat.shape[0])
+        povm_b, _ = reconstruct(f_mat[perm], p_mat[perm], cfg)
+        np.testing.assert_allclose(povm_a.theta, povm_b.theta, atol=1e-8)
+
     def test_zero_epsilon_reproduces_pure_least_squares(self):
         # trunc small enough that every Fock column is data-supported and
         # the least-squares optimum is unique
@@ -134,6 +147,41 @@ class TestReconstruct:
         wrapper = ProbeMatrix(f_mat, means, 60)
         povm, _ = reconstruct(wrapper, p_mat, SmoothingConfig(epsilon=1e-4))
         assert povm.theta.shape == (61, 4)
+
+    @pytest.mark.parametrize("bad", ["nan_outcome", "inf_probe"])
+    def test_non_finite_input_is_data_error(self, bad):
+        f_mat, p_mat, _, _ = small_problem()
+        if bad == "nan_outcome":
+            p_mat[2, 1] = np.nan
+        else:
+            f_mat[3, 7] = np.inf
+        with pytest.raises(DataError):
+            reconstruct(f_mat, p_mat, SmoothingConfig(epsilon=1e-4))
+
+
+class TestThetaUpdate:
+    """One ADMM theta-update against a dense solve of
+    (2 eps DtD + rho I + rho F^T F) theta = rho F^T a + rho v."""
+
+    @staticmethod
+    def dense_update(f_mat, eps, rho, a, v):
+        m1 = f_mat.shape[1]
+        d = np.diff(np.eye(m1), axis=0)
+        lhs = 2 * eps * d.T @ d + rho * np.eye(m1) + rho * f_mat.T @ f_mat
+        return np.linalg.solve(lhs, rho * f_mat.T @ a + rho * v)
+
+    @pytest.mark.parametrize("trunc, eps, rho", [(60, 1e-3, 1.0), (60, 1e-5, 4.0),
+                                                  (0, 1e-3, 0.5)])
+    def test_matches_dense_solve(self, trunc, eps, rho):
+        rng = np.random.default_rng(trunc)
+        means = np.linspace(0.0, 25.0, 15) if trunc else np.zeros(3)
+        f_mat = np.vstack([poisson_row(m, trunc) for m in means])
+        a = rng.normal(size=(f_mat.shape[0], 4))
+        v = rng.normal(size=(trunc + 1, 4))
+        theta, f_theta = _ThetaSolver(f_mat, eps, rho).update(f_mat, a, v)
+        expected = self.dense_update(f_mat, eps, rho, a, v)
+        assert np.abs(theta - expected).max() < 1e-12
+        assert np.abs(f_theta - f_mat @ theta).max() < 1e-12
 
 
 class TestReferenceAgreement:
