@@ -54,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--epsilon-sweep", default=None,
                      help="comma-separated sweep values; writes the L-curve CSV")
     rec.add_argument("--support-threshold", type=float, default=1e-3)
-    rec.add_argument("--max-iterations", type=int, default=20000)
+    rec.add_argument("--max-iterations", type=int, default=20000,
+                     help="ADMM iteration cap for every solve, sweep included")
     rec.add_argument("--mc-band", type=int, default=0,
                      help="Monte-Carlo draws for the amplitude-uncertainty band")
     rec.add_argument("--amplitude-err", type=float, default=0.05)
@@ -182,13 +183,18 @@ def _cmd_reconstruct(args) -> int:
     out = Path(args.out)
     if sweep_values or epsilon is None:
         sweep = tomography.epsilon_sweep(
-            probe_matrix, matrix, sweep_values or DEFAULT_SWEEP
+            probe_matrix,
+            matrix,
+            sweep_values or DEFAULT_SWEEP,
+            max_iterations=args.max_iterations,
         )
         if epsilon is None:
             epsilon = sweep.corner_epsilon
         curve_path = out.with_suffix(".lcurve.csv")
         fileio.save_lcurve(sweep, curve_path)
         print(f"L-curve written to {curve_path}; corner epsilon {epsilon:g}")
+        for w in sweep.warnings:
+            print(f"warning: {w}")
 
     cfg = tomography.SmoothingConfig(
         epsilon=epsilon, max_iterations=args.max_iterations

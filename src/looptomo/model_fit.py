@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .detector_model import LoopParams, POVMSet, build_model_povm, model_povm_rows
 from .errors import ConfigError, MemoryBudgetError
@@ -20,7 +20,8 @@ from .errors import ConfigError, MemoryBudgetError
 DEFAULT_MEMORY_BUDGET_BYTES = 2 << 30
 
 # reflectivity is strictly interior; efficiencies may reach 0 and 1
-_PARAM_BOUNDS = [(1e-3, 1.0 - 1e-3), (0.0, 1.0), (0.0, 1.0)]
+_PARAM_BOUNDS = (np.array([1e-3, 0.0, 0.0]), np.array([1.0 - 1e-3, 1.0, 1.0]))
+_PARAM_NAMES = ("reflectivity", "loop_efficiency", "det_efficiency")
 _FLAT_REL_TOL = 1e-10
 
 
@@ -52,46 +53,6 @@ def default_starts(n_bins: int, bin_period_ns: float = 156.0) -> list[LoopParams
     ]
 
 
-def _masked_loss(theta_exp, n_bins, trunc, mask):
-    rows = np.arange(trunc + 1)[mask]
-    target = theta_exp[mask]
-
-    def loss(x):
-        r, el, ed = x
-        try:
-            params = LoopParams(r, el, ed, n_bins)
-        except ValueError:
-            return np.inf
-        model = model_povm_rows(params, rows)
-        d = target - model
-        return float((d * d).sum())
-
-    return loss
-
-
-def _fd_hessian(loss, x, h=1e-4):
-    n = x.size
-    hess = np.empty((n, n))
-    f0 = loss(x)
-    for a in range(n):
-        for b in range(a, n):
-            ea = np.zeros(n)
-            eb = np.zeros(n)
-            ea[a] = h
-            eb[b] = h
-            if a == b:
-                val = (loss(x + ea) - 2 * f0 + loss(x - ea)) / h**2
-            else:
-                val = (
-                    loss(x + ea + eb)
-                    - loss(x + ea - eb)
-                    - loss(x - ea + eb)
-                    + loss(x - ea - eb)
-                ) / (4 * h**2)
-            hess[a, b] = hess[b, a] = val
-    return hess
-
-
 def fit_params(
     povm_exp: POVMSet,
     n_bins: int,
@@ -101,15 +62,17 @@ def fit_params(
 ) -> FitResult:
     """Fit (reflectivity, loop_efficiency, det_efficiency) to a POVM.
 
-    Frobenius-norm minimization over all outcomes simultaneously,
-    derivative-free (Nelder-Mead) from every start point; the best start is
-    re-polished with tight tolerances. Rows flagged as unsupported by the
-    reconstruction are excluded from the residual unless ``row_mask``
-    overrides the selection.
+    Bounded nonlinear least squares on the model-minus-POVM residuals of
+    all outcomes at once, solved by trust-region reflective
+    (``scipy.optimize.least_squares``) from every start point, which is
+    clipped into the parameter box first; the lowest-cost solution wins.
+    Rows flagged as unsupported by the reconstruction are excluded from
+    the residual unless ``row_mask`` overrides the selection.
 
-    A best-effort result with ``converged=False`` is returned when no start
-    converges; a flat residual direction (non-identifiable parameter) is
-    reported in ``warnings``.
+    The Jacobian at the solution gives the covariance and the flat-direction
+    test: a parameter whose +-1% step changes the squared residual by no
+    more than a relative 1e-10 (to first order) is reported in ``warnings``,
+    gets an infinite uncertainty and makes the result ``converged=False``.
     """
     if povm_exp.n_outcomes != n_bins + 1:
         raise ConfigError(
@@ -126,84 +89,60 @@ def fit_params(
         mask = np.ones(trunc + 1, dtype=bool)
     if not mask.any():
         raise ConfigError("no rows left to fit after masking")
-
-    loss = _masked_loss(povm_exp.theta, n_bins, trunc, mask)
     if starts is None:
         starts = default_starts(n_bins, bin_period_ns)
     if not starts:
         raise ConfigError("at least one start point required")
 
+    rows = np.arange(trunc + 1)[mask]
+    target = povm_exp.theta[mask]
     n_eval = 0
+
+    def residuals(x):
+        nonlocal n_eval
+        n_eval += 1
+        return (model_povm_rows(LoopParams(*x, n_bins), rows) - target).ravel()
+
     best = None
     for start in starts:
-        x0 = np.array(
-            [start.reflectivity, start.loop_efficiency, start.det_efficiency]
+        x0 = np.clip(
+            [start.reflectivity, start.loop_efficiency, start.det_efficiency],
+            *_PARAM_BOUNDS,
         )
-        res = minimize(
-            loss,
-            x0,
-            method="Nelder-Mead",
-            bounds=_PARAM_BOUNDS,
-            options=dict(xatol=1e-4, fatol=1e-12, maxfev=600),
-        )
-        n_eval += res.nfev
-        if best is None or res.fun < best.fun:
+        res = least_squares(residuals, x0, bounds=_PARAM_BOUNDS)
+        if best is None or res.cost < best.cost:
             best = res
-    coarse_x = best.x.copy()
-    # fatol is absolute in scipy; tie it to the attained objective scale so
-    # noisy objectives can terminate on simplex size rather than maxfev
-    polish = minimize(
-        loss,
-        best.x,
-        method="Nelder-Mead",
-        bounds=_PARAM_BOUNDS,
-        options=dict(
-            xatol=1e-7, fatol=max(1e-14, 1e-9 * best.fun), maxfev=6000
-        ),
-    )
-    n_eval += polish.nfev
-    if polish.fun <= best.fun:
-        best = polish
-    x = best.x
-    sq_residual = float(best.fun)
-    converged = bool(
-        best.success
-        or polish.success
-        or np.abs(polish.x - coarse_x).max() < 1e-4
-    )
+    x, jac = best.x, best.jac
+    sq_residual = 2.0 * float(best.cost)
 
-    warnings_list = []
-    lo = np.array([b[0] for b in _PARAM_BOUNDS])
-    hi = np.array([b[1] for b in _PARAM_BOUNDS])
-    for a, name in enumerate(("reflectivity", "loop_efficiency", "det_efficiency")):
-        probe = np.zeros(3)
-        probe[a] = 0.01 * max(abs(x[a]), 0.01)
-        up = loss(np.clip(x + probe, lo, hi))
-        down = loss(np.clip(x - probe, lo, hi))
-        if max(up, down) - sq_residual <= _FLAT_REL_TOL * (1.0 + sq_residual):
-            warnings_list.append(f"flat residual along {name}")
+    # first-order rise of the squared residual under a +-1% parameter step
+    step = 0.01 * np.maximum(np.abs(x), 0.01)
+    rise = (np.linalg.norm(jac, axis=0) * step) ** 2
+    flat = rise <= _FLAT_REL_TOL * (1.0 + sq_residual)
+    warnings_list = [
+        f"flat residual along {name}"
+        for name, is_flat in zip(_PARAM_NAMES, flat)
+        if is_flat
+    ]
 
-    flat = bool(warnings_list)
-
+    sigma = np.full(3, np.inf)
     dof = max(int(mask.sum()) * (n_bins + 1) - 3, 1)
-    sigma = (np.inf, np.inf, np.inf)
     try:
-        hess = _fd_hessian(loss, x)
-        cov = 2.0 * (sq_residual / dof) * np.linalg.inv(hess)
-        diag = np.diag(cov)
+        diag = np.diag((sq_residual / dof) * np.linalg.inv(jac.T @ jac))
         if np.all(np.isfinite(diag)) and np.all(diag >= 0):
-            sigma = tuple(float(v) for v in np.sqrt(diag))
+            sigma = np.sqrt(diag)
         else:
             warnings_list.append("curvature not positive definite")
     except np.linalg.LinAlgError:
         warnings_list.append("singular curvature; uncertainties unavailable")
+    sigma[flat] = np.inf
 
     params = LoopParams(x[0], x[1], x[2], n_bins, bin_period_ns)
     return FitResult(
         params=params,
         residual=float(np.sqrt(sq_residual)),
-        uncertainties=sigma,
-        converged=converged and not flat,
+        uncertainties=tuple(float(v) for v in sigma),
+        converged=bool(best.success and not flat.any()),
         warnings=tuple(warnings_list),
         n_evaluations=n_eval,
     )

@@ -521,13 +521,14 @@ def epsilon_sweep(
     """Reconstruct at each smoothing weight; collect the L-curve.
 
     The residual should be nondecreasing and the smoothness seminorm
-    nonincreasing in epsilon; violations (beyond solver tolerance) are
-    reported as warnings, not errors.
+    nonincreasing in epsilon; violations (beyond solver tolerance) and
+    solves that stop unconverged are reported as warnings, not errors.
     """
     eps_list = sorted(float(e) for e in epsilons)
     if not eps_list:
         raise ConfigError("epsilon sweep needs at least one value")
     points = []
+    warnings_list = []
     for eps in eps_list:
         cfg = SmoothingConfig(
             epsilon=eps,
@@ -539,7 +540,11 @@ def epsilon_sweep(
         points.append(
             SweepPoint(eps, report.residual, report.smoothness, report.objective)
         )
-    warnings_list = []
+        if not report.converged:
+            warnings_list.append(
+                f"solve at eps={eps:g} did not converge in "
+                f"{report.iterations} iterations"
+            )
     slack = 10 * max(grad_tol, 1e-12)
     for prev, cur in zip(points, points[1:]):
         if cur.residual < prev.residual - slack:

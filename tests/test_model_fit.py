@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from looptomo import model_fit
 from looptomo import (
     ConfigError,
     LoopParams,
@@ -12,6 +13,7 @@ from looptomo import (
     fit_params,
     iter_extrapolated_rows,
 )
+from looptomo.detector_model import model_povm_rows
 
 DEVICE = LoopParams(0.89613, 0.9064, 0.4912, 10)
 TRUE_X = np.array([0.89613, 0.9064, 0.4912])
@@ -52,6 +54,8 @@ class TestFitParams:
         result = fit_params(degenerate, 5, starts=[LoopParams(0.5, 0.5, 0.5, 5)])
         assert any("flat residual" in w for w in result.warnings)
         assert not result.converged
+        assert result.uncertainties[0] == np.inf
+        assert result.uncertainties[1] == np.inf
 
     def test_outcome_count_mismatch(self):
         povm = build_model_povm(DEVICE, 50)
@@ -103,6 +107,72 @@ class TestFitParams:
         povm = build_model_povm(DEVICE, 300)
         result = fit_params(povm, 10, starts=[LoopParams(0.85, 0.85, 0.55, 10)])
         assert all(u < 1e-3 or not np.isfinite(u) for u in result.uncertainties)
+
+    def test_uncertainties_match_finite_difference_hessian(self):
+        # reference: sigma^2 = diag(2 S/dof H^-1), H the central-difference
+        # Hessian of the squared residual S at the fitted point
+        rng = np.random.default_rng(300)
+        exact = build_model_povm(DEVICE, 300).theta
+        noisy = POVMSet(
+            np.vstack([rng.multinomial(10**6, row) / 10**6 for row in exact])
+        )
+        result = fit_params(noisy, 10, starts=[LoopParams(0.8, 0.8, 0.6, 10)])
+        rows = np.arange(301)
+
+        def loss(v):
+            d = model_povm_rows(LoopParams(*v, 10), rows) - noisy.theta
+            return float((d * d).sum())
+
+        x = np.array(
+            [
+                result.params.reflectivity,
+                result.params.loop_efficiency,
+                result.params.det_efficiency,
+            ]
+        )
+        h = 1e-4
+        e = np.eye(3) * h
+        f0 = loss(x)
+        hess = np.empty((3, 3))
+        for a in range(3):
+            hess[a, a] = (loss(x + e[a]) - 2 * f0 + loss(x - e[a])) / h**2
+            for b in range(a + 1, 3):
+                hess[a, b] = hess[b, a] = (
+                    loss(x + e[a] + e[b])
+                    - loss(x + e[a] - e[b])
+                    - loss(x - e[a] + e[b])
+                    + loss(x - e[a] - e[b])
+                ) / (4 * h**2)
+        dof = rows.size * 11 - 3
+        ref = np.sqrt(np.diag(2.0 * f0 / dof * np.linalg.inv(hess)))
+        assert result.converged
+        np.testing.assert_allclose(result.uncertainties, ref, rtol=1e-2)
+
+    def test_start_outside_bounds_is_clipped(self):
+        povm = build_model_povm(DEVICE, 300)
+        start = LoopParams(0.9995, 0.8, 0.6, 10)
+        assert start.reflectivity > model_fit._PARAM_BOUNDS[1][0]
+        result = fit_params(povm, 10, starts=[start])
+        got = np.array(
+            [
+                result.params.reflectivity,
+                result.params.loop_efficiency,
+                result.params.det_efficiency,
+            ]
+        )
+        np.testing.assert_allclose(got, TRUE_X, atol=1e-4)
+
+    def test_evaluations_count_every_model_call(self, monkeypatch):
+        calls = []
+
+        def counted(params, photon_numbers):
+            calls.append(1)
+            return model_povm_rows(params, photon_numbers)
+
+        monkeypatch.setattr(model_fit, "model_povm_rows", counted)
+        povm = build_model_povm(DEVICE, 100)
+        result = fit_params(povm, 10, starts=[LoopParams(0.8, 0.8, 0.6, 10)])
+        assert result.n_evaluations == len(calls) > 0
 
 
 class TestExtrapolate:

@@ -21,7 +21,7 @@ from looptomo import (
 )
 from looptomo.ingest import bin_probabilities, outcome_probabilities
 from looptomo.probe_states import poisson_row
-from looptomo.tomography import _ThetaSolver
+from looptomo.tomography import _POLISH_MAX_ENTRIES, _ThetaSolver
 
 DEVICE3 = LoopParams(0.89613, 0.9064, 0.4912, 3)
 
@@ -305,6 +305,18 @@ class TestEpsilonSweep:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigError):
             epsilon_sweep(np.ones((2, 3)), np.ones((2, 2)) / 2, [])
+
+    def test_unconverged_solves_are_reported(self):
+        # above the polish limit ADMM alone decides convergence; 20
+        # iterations are not enough at any epsilon
+        f_mat, p_mat, _, _ = small_problem(trunc=600)
+        assert f_mat.shape[1] * p_mat.shape[1] > _POLISH_MAX_ENTRIES
+        result = epsilon_sweep(f_mat, p_mat, [1e-5, 1e-3], max_iterations=20)
+        unconverged = [w for w in result.warnings if "did not converge" in w]
+        assert unconverged == [
+            "solve at eps=1e-05 did not converge in 20 iterations",
+            "solve at eps=0.001 did not converge in 20 iterations",
+        ]
 
 
 class TestPovmSetValidation:
