@@ -214,6 +214,8 @@ def _cmd_reconstruct(args) -> int:
             seed=args.seed,
         )
         fileio.save_band(band, out.with_suffix(".band.csv"))
+        for w in band.warnings:
+            print(f"warning: {w}")
     print(
         f"reconstruction: objective {report.objective:.6e}, "
         f"residual {report.residual:.6e}, converged {report.converged}"

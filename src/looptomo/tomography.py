@@ -13,9 +13,11 @@ never as a dense (M+1)^2 matrix.
 Solver: an operator-splitting (ADMM) phase with exact subproblem solves
 (tridiagonal LDL^T factorization of the smoothing block plus a low-rank
 Woodbury probe update, two probe-by-Fock products per iteration) handles
-any scale; on problems small enough for dense KKT systems an
-active-set Newton polish, wrapped in a majorize-minimize loop for the
-unsquared norm, pushes the iterate to machine-precision optimality.
+any scale; on small problems an active-set Newton polish, wrapped in a
+majorize-minimize loop for the unsquared norm, pushes the iterate to
+machine-precision optimality. The polish QP's Hessian is block-diagonal
+by outcome column, so each step factors one Fock-sized block per column
+and solves a Fock-sized Schur system for the row-sum multipliers.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs, dpttrf, dpttrs
 
 from .detector_model import POVMSet
 from .errors import ConfigError, DataError
@@ -39,6 +40,7 @@ DEFAULT_SUPPORT_THRESHOLD = 1e-3
 RESIDUAL_FLOOR = 1e-12
 
 _POLISH_MAX_ENTRIES = 2048
+_REFINE_STEPS = 5  # cap on iterative-refinement steps per polish solve
 _ADMM_CHECK_EVERY = 20
 _ADMM_ALPHA = 1.7  # over-relaxation
 _TINY = np.finfo(float).tiny
@@ -145,7 +147,9 @@ class _ThetaSolver:
         self._k_inv_ft = self._k_solve(F.T)
         self._k_inv_ft[np.abs(self._k_inv_ft) < _TINY] = 0.0
         self._gram = F @ self._k_inv_ft
-        self._wf = cho_factor(np.eye(F.shape[0]) / rho + self._gram)
+        self._w_chol, info = dpotrf(np.eye(F.shape[0]) / rho + self._gram)
+        if info:
+            raise np.linalg.LinAlgError(f"probe block not positive (info {info})")
 
     def _k_solve(self, b: np.ndarray) -> np.ndarray:
         return dpttrs(self._d, self._e, b)[0]
@@ -155,7 +159,8 @@ class _ThetaSolver:
         rho = self._rho
         c = self._k_solve(v)
         f_c = F @ c
-        g = rho * a - cho_solve(self._wf, rho * (self._gram @ a + f_c))
+        # inputs are finite (checked in reconstruct), so call LAPACK directly
+        g = rho * a - dpotrs(self._w_chol, rho * (self._gram @ a + f_c))[0]
         return self._k_inv_ft @ g + rho * c, self._gram @ g + rho * f_c
 
 
@@ -235,33 +240,110 @@ def _admm_phase(
     return _AdmmResult(best, it, trace, met, rho_changes, pr_scaled, dr_scaled)
 
 
+def _kkt_lstsq(Q, b_flat, pinned):
+    """Least-squares solve of the full equality-constrained KKT system.
+
+    Used for a pivot only when an outcome block of the Hessian does not
+    factor (epsilon = 0 with more free Fock rows than probes) or the
+    Schur system is exactly singular.
+    Returns (x_eq, lam).
+    """
+    m1 = Q.shape[0]
+    n_out = pinned.size // m1
+    fi = np.flatnonzero(~pinned)
+    i_idx = fi // n_out
+    n_idx = fi % n_out
+    h_ff = Q[np.ix_(i_idx, i_idx)] * (n_idx[:, None] == n_idx[None, :])
+    a_f = np.zeros((m1, fi.size))
+    a_f[i_idx, np.arange(fi.size)] = 1.0
+    kkt = np.block([[h_ff, a_f.T], [a_f, np.zeros((m1, m1))]])
+    rhs = np.concatenate([b_flat[fi], np.ones(m1)])
+    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    x_eq = np.zeros(pinned.size)
+    x_eq[fi] = sol[: fi.size]
+    return x_eq, sol[fi.size:]
+
+
 def _active_set_qp(Q, b_flat, x0, max_pivots, tol):
     """min 0.5 x^T kron(Q, I_N) x - b^T x, rows sum to one, x >= 0.
 
-    Dense KKT active-set solve; x0 must be feasible. Returns (x, optimal).
+    Active-set solve; x0 must be feasible. Returns (x, optimal).
+
+    The Hessian is block-diagonal by outcome column n, and only the row-sum
+    constraints couple the columns. With S_n the free rows of column n,
+    H_n = Q[S_n, S_n] and E_n the m1-by-|S_n| selection of those rows, the
+    equality-constrained step solves the m1-by-m1 Schur system
+
+        (sum_n E_n H_n^-1 E_n^T) lam = sum_n E_n H_n^-1 b_n - 1
+
+    for the row multipliers and recovers x_n = H_n^-1 (b_n - lam[S_n]).
+    When the KKT residual of that solve exceeds tol, iterative refinement
+    with the same factors brings it to rounding level. A pivot changes one
+    column, so only that column's block is refactored.
     """
     m1 = Q.shape[0]
     n_out = x0.size // m1
     x = x0.ravel().copy()
     pinned = x <= 0.0
     rows = np.repeat(np.arange(m1), n_out)
+    pinned_cols = pinned.reshape(m1, n_out)  # a view: pivots show through
+    b_cols = b_flat.reshape(m1, n_out)
+    b_scale = max(1.0, float(np.abs(b_flat).max()))
+    # per column n: E_n H_n^-1 E_n^T, E_n H_n^-1 b_n, and whether H_n factored
+    h_inv = np.zeros((n_out, m1, m1))
+    h_inv_b = np.zeros((n_out, m1))
+    factored = np.ones(n_out, dtype=bool)
+
+    def factor_column(n):
+        free_rows = np.flatnonzero(~pinned_cols[:, n])
+        h_inv[n] = 0.0
+        h_inv_b[n] = 0.0
+        factored[n] = True
+        if free_rows.size == 0:
+            return
+        chol, info = dpotrf(Q[np.ix_(free_rows, free_rows)])
+        if info:
+            factored[n] = False
+            return
+        rhs = np.column_stack([np.eye(free_rows.size), b_cols[free_rows, n]])
+        sol = dpotrs(chol, rhs)[0]
+        h_inv[n][np.ix_(free_rows, free_rows)] = sol[:, :-1]
+        h_inv_b[n, free_rows] = sol[:, -1]
+
+    def block_solve(lu, piv, h_r, r_c):
+        """KKT solve given h_r[n] = E_n H_n^-1 r_x[n] and the row-sum part."""
+        lam = dgetrs(lu, piv, h_r.sum(axis=0) - r_c)[0]
+        return h_r - h_inv @ lam, lam
+
+    def kkt_residual(x_cols, lam):
+        r_x = np.where(pinned_cols.T, 0.0, b_cols.T - x_cols @ Q - lam)
+        r_c = 1.0 - x_cols.sum(axis=0)
+        return (r_x, r_c), max(np.abs(r_x).max() / b_scale, np.abs(r_c).max())
+
+    def solve_equality():
+        if factored.all():
+            lu, piv, info = dgetrf(h_inv.sum(axis=0))
+            if info == 0:
+                x_cols, lam = block_solve(lu, piv, h_inv_b, 1.0)
+                (r_x, r_c), size = kkt_residual(x_cols, lam)
+                # a block conditioned near 1/eps (epsilon ~ 0) can leave the
+                # row sums off by 1e-6; refine while the residual shrinks
+                steps = _REFINE_STEPS if size > tol else 0
+                for _ in range(steps):
+                    h_r = (h_inv @ r_x[:, :, None])[:, :, 0]
+                    dx, dlam = block_solve(lu, piv, h_r, r_c)
+                    new_resid, new_size = kkt_residual(x_cols + dx, lam + dlam)
+                    if not new_size < size:
+                        break
+                    x_cols, lam = x_cols + dx, lam + dlam
+                    (r_x, r_c), size = new_resid, new_size
+                return x_cols.T.ravel(), lam
+        return _kkt_lstsq(Q, b_flat, pinned)
+
+    for n in range(n_out):
+        factor_column(n)
     for _ in range(max_pivots):
-        free = ~pinned
-        fi = np.where(free)[0]
-        i_idx = fi // n_out
-        n_idx = fi % n_out
-        h_ff = Q[np.ix_(i_idx, i_idx)] * (n_idx[:, None] == n_idx[None, :])
-        a_f = np.zeros((m1, fi.size))
-        a_f[i_idx, np.arange(fi.size)] = 1.0
-        kkt = np.block([[h_ff, a_f.T], [a_f, np.zeros((m1, m1))]])
-        rhs = np.concatenate([b_flat[fi], np.ones(m1)])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        lam = sol[fi.size:]
-        x_eq = np.zeros_like(x)
-        x_eq[fi] = sol[: fi.size]
+        x_eq, lam = solve_equality()
         step = x_eq - x
         if np.abs(step).max() > 1e-14:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,6 +356,7 @@ def _active_set_qp(Q, b_flat, x0, max_pivots, tol):
                 j = int(np.argmin(ratios))
                 pinned[j] = True
                 x[j] = 0.0
+                factor_column(j % n_out)
                 continue
         grad = (Q @ x.reshape(m1, n_out)).ravel() - b_flat
         multipliers = np.where(pinned, grad + lam[rows], np.inf)
@@ -282,6 +365,7 @@ def _active_set_qp(Q, b_flat, x0, max_pivots, tol):
         if multipliers[j] >= -tol * gscale:
             return x.reshape(m1, n_out), True
         pinned[j] = False
+        factor_column(j % n_out)
     return x.reshape(m1, n_out), False
 
 
@@ -429,6 +513,8 @@ class UncertaintyBand:
     n_mc: int
     amplitude_rel_err: float
     mode: str
+    #: one entry per draw whose solve stopped unconverged
+    warnings: tuple[str, ...] = ()
 
 
 def uncertainty_band(
@@ -446,6 +532,7 @@ def uncertainty_band(
     delta uniform within +-amplitude_rel_err, i.e. scales the mean photon
     number by (1 + delta)^2, rebuilds F and reconstructs. ``mode`` selects
     a min/max envelope (default) or a mean +- one-standard-deviation band.
+    Draws whose solve stops unconverged are reported as warnings.
     """
     if n_mc < 2:
         raise ConfigError(f"n_mc must be >= 2, got {n_mc}")
@@ -457,19 +544,25 @@ def uncertainty_band(
     trunc = probe_matrix.truncation_dim
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     samples = []
-    for _ in range(n_mc):
+    warnings_list = []
+    for draw in range(n_mc):
         delta = rng.uniform(-amplitude_rel_err, amplitude_rel_err, size=means.size)
         scaled = means * (1.0 + delta) ** 2
         f_mc = np.vstack([poisson_row(m, trunc) for m in scaled])
-        povm, _ = reconstruct(f_mc, outcomes, cfg)
+        povm, report = reconstruct(f_mc, outcomes, cfg)
         samples.append(povm.theta)
+        if not report.converged:
+            warnings_list.append(
+                f"band draw {draw} did not converge in "
+                f"{report.iterations} iterations"
+            )
     stack = np.stack(samples)
     if mode == "envelope":
         lo, hi = stack.min(axis=0), stack.max(axis=0)
     else:
         mean, std = stack.mean(axis=0), stack.std(axis=0)
         lo, hi = mean - std, mean + std
-    return UncertaintyBand(lo, hi, n_mc, amplitude_rel_err, mode)
+    return UncertaintyBand(lo, hi, n_mc, amplitude_rel_err, mode, tuple(warnings_list))
 
 
 @dataclass(frozen=True)

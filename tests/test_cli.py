@@ -239,6 +239,34 @@ class TestPipeline:
         assert curve[0] == "epsilon,residual,smoothness,objective"
         assert len(curve) == 4
 
+    def test_unconverged_band_draws_are_printed(self, workspace, capsys):
+        # 201 x 11 unknowns is above the polish limit, so 20 ADMM
+        # iterations leave every band draw unconverged
+        ws, _, _ = workspace
+        ensemble = ProbeEnsemble.from_means(
+            [0.0, 1.0, 4.0, 9.0, 16.0, 25.0], truncation_dim=200
+        )
+        ensemble_path = ws / "ensemble_200.json"
+        fileio.save_ensemble(ensemble, ensemble_path)
+        data = _simulate(workspace, pulses=20_000, out="wideband")
+        povm_path = ws / "wideband_povm.csv"
+        code = main(
+            [
+                "reconstruct",
+                "--manifest", str(data / "manifest.json"),
+                "--ensemble", str(ensemble_path),
+                "--epsilon", "1e-4",
+                "--mc-band", "2",
+                "--max-iterations", "20",
+                "--allow-unconverged",
+                "--out", str(povm_path),
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "warning: band draw 0 did not converge in 20 iterations" in lines
+        assert "warning: band draw 1 did not converge in 20 iterations" in lines
+
     def test_unconverged_sweep_solves_are_printed(self, workspace, capsys):
         # 201 x 11 unknowns is above the polish limit, so 20 ADMM
         # iterations leave every sweep solve unconverged

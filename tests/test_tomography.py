@@ -19,9 +19,11 @@ from looptomo import (
     smoothness_seminorm,
     uncertainty_band,
 )
+from looptomo import tomography
+from looptomo.cli import DEFAULT_SWEEP
 from looptomo.ingest import bin_probabilities, outcome_probabilities
 from looptomo.probe_states import poisson_row
-from looptomo.tomography import _POLISH_MAX_ENTRIES, _ThetaSolver
+from looptomo.tomography import _POLISH_MAX_ENTRIES, _active_set_qp, _ThetaSolver
 
 DEVICE3 = LoopParams(0.89613, 0.9064, 0.4912, 3)
 
@@ -120,6 +122,18 @@ class TestReconstruct:
         povm_b, _ = reconstruct(f_mat[perm], p_mat[perm], cfg)
         np.testing.assert_allclose(povm_a.theta, povm_b.theta, atol=1e-8)
 
+    def test_outcome_column_permutation_equivariance(self):
+        # the polish splits the QP by outcome column; relabelling the
+        # outcomes must relabel the columns of theta and nothing else
+        f_mat, p_mat, _, _ = small_problem(noise_pulses=10**5, seed=7, n_bins=5)
+        assert f_mat.shape[1] * p_mat.shape[1] <= _POLISH_MAX_ENTRIES
+        cfg = SmoothingConfig(epsilon=1e-4)
+        povm_a, report = reconstruct(f_mat, p_mat, cfg)
+        assert report.converged
+        perm = np.random.default_rng(4).permutation(p_mat.shape[1])
+        povm_b, _ = reconstruct(f_mat, p_mat[:, perm], cfg)
+        np.testing.assert_allclose(povm_b.theta, povm_a.theta[:, perm], atol=1e-8)
+
     def test_zero_epsilon_reproduces_pure_least_squares(self):
         # trunc small enough that every Fock column is data-supported and
         # the least-squares optimum is unique
@@ -184,6 +198,146 @@ class TestThetaUpdate:
         assert np.abs(f_theta - f_mat @ theta).max() < 1e-12
 
 
+def dense_kkt_qp(Q, b_flat, x0, max_pivots, tol):
+    """The dense-KKT active-set solve that the outcome-block solve replaced."""
+    m1 = Q.shape[0]
+    n_out = x0.size // m1
+    x = x0.ravel().copy()
+    pinned = x <= 0.0
+    rows = np.repeat(np.arange(m1), n_out)
+    for _ in range(max_pivots):
+        free = ~pinned
+        fi = np.where(free)[0]
+        i_idx = fi // n_out
+        n_idx = fi % n_out
+        h_ff = Q[np.ix_(i_idx, i_idx)] * (n_idx[:, None] == n_idx[None, :])
+        a_f = np.zeros((m1, fi.size))
+        a_f[i_idx, np.arange(fi.size)] = 1.0
+        kkt = np.block([[h_ff, a_f.T], [a_f, np.zeros((m1, m1))]])
+        rhs = np.concatenate([b_flat[fi], np.ones(m1)])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        lam = sol[fi.size:]
+        x_eq = np.zeros_like(x)
+        x_eq[fi] = sol[: fi.size]
+        step = x_eq - x
+        if np.abs(step).max() > 1e-14:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(step < -1e-300, x / -step, np.inf)
+            ratios[pinned] = np.inf
+            blocking = float(ratios.min())
+            alpha = min(1.0, blocking)
+            x = np.maximum(x + alpha * step, 0.0)
+            if alpha < 1.0:
+                j = int(np.argmin(ratios))
+                pinned[j] = True
+                x[j] = 0.0
+                continue
+        grad = (Q @ x.reshape(m1, n_out)).ravel() - b_flat
+        multipliers = np.where(pinned, grad + lam[rows], np.inf)
+        j = int(np.argmin(multipliers))
+        gscale = max(1.0, float(np.abs(grad).max()))
+        if multipliers[j] >= -tol * gscale:
+            return x.reshape(m1, n_out), True
+        pinned[j] = False
+    return x.reshape(m1, n_out), False
+
+
+def random_qp(seed, m1, n_out):
+    """Seeded SPD Q, linear term and a feasible start with some zeros."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m1 + 2, m1))
+    q_mat = a.T @ a + 0.05 * np.eye(m1)
+    b = rng.normal(scale=3.0, size=(m1, n_out))
+    x0 = rng.uniform(size=(m1, n_out))
+    x0[rng.uniform(size=x0.shape) < 0.3] = 0.0
+    x0[np.arange(m1), rng.integers(n_out, size=m1)] += 0.5
+    return q_mat, b, x0 / x0.sum(axis=1, keepdims=True)
+
+
+class TestActiveSetQP:
+    @pytest.mark.parametrize(
+        "seed, m1, n_out",
+        [(0, 1, 3), (1, 5, 2), (2, 8, 4), (3, 20, 6), (4, 40, 11), (5, 61, 4)],
+    )
+    def test_matches_dense_kkt(self, seed, m1, n_out):
+        q_mat, b, x0 = random_qp(seed, m1, n_out)
+        x_new, ok_new = _active_set_qp(q_mat, b.ravel(), x0, 400, 1e-8)
+        x_ref, ok_ref = dense_kkt_qp(q_mat, b.ravel(), x0, 400, 1e-8)
+        assert ok_new == ok_ref
+        np.testing.assert_allclose(x_new, x_ref, rtol=0, atol=1e-10)
+
+    def test_column_pivoted_down_to_one_free_row(self):
+        # column 0 pays for every row but the first, so pivoting pins all
+        # of its other entries that start positive
+        q_mat, b, x0 = random_qp(6, 12, 5)
+        b[:, 0] = -100.0
+        b[0, 0] = 100.0
+        assert np.count_nonzero(x0[:, 0]) > 2
+        x_new, ok_new = _active_set_qp(q_mat, b.ravel(), x0, 400, 1e-8)
+        x_ref, ok_ref = dense_kkt_qp(q_mat, b.ravel(), x0, 400, 1e-8)
+        assert ok_new and ok_ref
+        assert np.flatnonzero(x_new[:, 0]).tolist() == [0]
+        np.testing.assert_allclose(x_new, x_ref, rtol=0, atol=1e-10)
+
+    def test_ill_conditioned_blocks_keep_row_sums(self):
+        # epsilon = 0 with fewer Fock rows than probes: every block factors,
+        # with condition number ~1e15
+        f_mat, p_mat, _, _ = small_problem(
+            noise_pulses=10**5, seed=8, trunc=10, mu_max=4.0
+        )
+        q_mat = f_mat.T @ f_mat / 6e-3
+        b = (f_mat.T @ p_mat / 6e-3).ravel()
+        x0 = np.full((11, 4), 0.25)
+        x_new, ok_new = _active_set_qp(q_mat, b, x0, 400, 1e-8)
+        x_ref, ok_ref = dense_kkt_qp(q_mat, b, x0, 400, 1e-8)
+        assert ok_new and ok_ref
+        np.testing.assert_allclose(x_new.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+
+        def qp_objective(x):
+            return 0.5 * np.sum(x * (q_mat @ x)) - b @ x.ravel()
+
+        ref = qp_objective(x_ref)
+        assert qp_objective(x_new) <= ref + 1e-12 * abs(ref)
+
+    def test_pivot_budget_exhausted_matches(self):
+        q_mat, b, x0 = random_qp(7, 30, 6)
+        x_new, ok_new = _active_set_qp(q_mat, b.ravel(), x0, 3, 1e-8)
+        x_ref, ok_ref = dense_kkt_qp(q_mat, b.ravel(), x0, 3, 1e-8)
+        assert not ok_new and not ok_ref
+        np.testing.assert_allclose(x_new, x_ref, rtol=0, atol=1e-10)
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Counts the polish pivots that fall back to the full KKT system."""
+    calls = []
+    real = tomography._kkt_lstsq
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(tomography, "_kkt_lstsq", counted)
+    return calls
+
+
+class TestPolishFallback:
+    def test_zero_epsilon_reaches_lstsq(self, lstsq_calls):
+        # 61 free Fock rows, 15 probes: without smoothing an outcome block
+        # of the Hessian is singular
+        f_mat, p_mat, _, _ = small_problem(noise_pulses=10**4, seed=14)
+        epsilon_sweep(f_mat, p_mat, [0.0], max_iterations=1500)
+        assert lstsq_calls
+
+    def test_default_sweep_never_reaches_lstsq(self, lstsq_calls):
+        f_mat, p_mat, _, _ = small_problem()
+        epsilon_sweep(f_mat, p_mat, DEFAULT_SWEEP)
+        assert not lstsq_calls
+
+
 class TestReferenceAgreement:
     def test_small_scale_oracle_equivalence(self):
         # independent interior-point solve of the same objective
@@ -235,6 +389,20 @@ class TestUncertaintyBand:
         povm, _ = reconstruct(wrapper, p_mat, cfg)
         np.testing.assert_allclose(band.lo, povm.theta, atol=1e-7)
         np.testing.assert_allclose(band.hi, povm.theta, atol=1e-7)
+        assert band.warnings == ()
+
+    def test_unconverged_draws_are_reported(self):
+        # above the polish limit ADMM alone decides convergence; 20
+        # iterations are not enough for either draw
+        f_mat, p_mat, _, means = small_problem(trunc=600)
+        assert f_mat.shape[1] * p_mat.shape[1] > _POLISH_MAX_ENTRIES
+        wrapper = ProbeMatrix(f_mat, means, 600)
+        cfg = SmoothingConfig(epsilon=1e-4, max_iterations=20)
+        band = uncertainty_band(wrapper, p_mat, cfg, n_mc=2, seed=3)
+        assert band.warnings == (
+            "band draw 0 did not converge in 20 iterations",
+            "band draw 1 did not converge in 20 iterations",
+        )
 
     def test_band_contains_noiseless_solution(self):
         # five-percent amplitude draws around noiseless data: the envelope
