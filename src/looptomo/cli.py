@@ -2,17 +2,19 @@
 
 Subcommands compose through files only. Exit codes: 0 ok, 2 configuration
 error, 3 data error, 4 solver non-convergence (unless --allow-unconverged).
-
-Heavy imports happen after argument parsing so --threads can cap the BLAS
-thread pools through the environment before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from . import (detector_model, estimation, fileio, ingest, model_fit,
+               probe_states, tomography)
+from .errors import ConfigError, DataError, MemoryBudgetError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Loop-detector POVM pipeline: simulation, reconstruction, "
         "model fit, extrapolation and bright-state estimation.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS/OpenMP thread pools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate per-probe histograms")
@@ -103,10 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    import numpy as np
-
-    from . import detector_model, fileio, ingest
-
     params = fileio.load_params(args.params)
     ensemble = fileio.load_ensemble(args.ensemble)
     out_dir = Path(args.out_dir)
@@ -153,26 +149,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    from . import fileio, ingest, probe_states, tomography
-
     ensemble = fileio.load_ensemble(args.ensemble)
     doc = fileio.load_manifest(args.manifest)
     base = Path(args.manifest).parent
-    hists = []
-    for run in doc["runs"]:
-        hists.append(
-            (fileio.load_histogram(base / run["histogram"]), int(run["n_pulses"]))
-        )
+    hists = [
+        (fileio.load_histogram(base / run["histogram"]), run["n_pulses"])
+        for run in doc["runs"]
+    ]
+    period_ns = float(doc.get("bin_period_ns", 156.0))
     n_bins = doc.get("n_bins")
     if n_bins is None:
         # older manifests: infer from the histogram span at the stated period
         first = hists[0][0]
-        period_ps = doc.get("bin_period_ns", 156.0) * 1000.0
-        n_bins = int((first.span_ps - first.t0_ps) // period_ps) + 1
-    cfg_bin = ingest.BinningConfig(
-        n_detector_bins=int(n_bins),
-        bin_period_ns=float(doc.get("bin_period_ns", 156.0)),
-    )
+        n_bins = int((first.span_ps - first.t0_ps) // (period_ns * 1000.0)) + 1
+    cfg_bin = ingest.BinningConfig(n_detector_bins=n_bins, bin_period_ns=period_ns)
     matrix = ingest.assemble_outcome_matrix(hists, cfg_bin, ensemble)
     probe_matrix = probe_states.build_probe_matrix(ensemble)
 
@@ -226,13 +216,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from . import fileio, model_fit
-
     povm = fileio.load_povm_csv(args.povm)
     mask = None
     if args.all_rows:
-        import numpy as np
-
         mask = np.ones(povm.truncation_dim + 1, dtype=bool)
     result = model_fit.fit_params(povm, args.bins, row_mask=mask)
     fileio.save_fit_result(result, args.out)
@@ -249,17 +235,12 @@ def _cmd_fit(args) -> int:
 
 
 def _load_loop_params(args):
-    from . import fileio
-
     if getattr(args, "fit", None):
         return fileio.load_fit_params(args.fit)
     return fileio.load_params(args.params)
 
 
 def _cmd_extrapolate(args) -> int:
-    from . import fileio, model_fit
-    from .errors import MemoryBudgetError
-
     params = _load_loop_params(args)
     budget = args.memory_budget_mb * (1 << 20)
     out = Path(args.out)
@@ -283,8 +264,6 @@ def _cmd_extrapolate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    from . import estimation, fileio, ingest
-
     params = _load_loop_params(args)
     if args.outcome_dist:
         matrix = fileio.load_outcome_matrix(args.outcome_dist)
@@ -292,8 +271,6 @@ def _cmd_estimate(args) -> int:
         n_pulses = int(matrix.n_pulses[0])
     else:
         if args.pulses is None:
-            from .errors import ConfigError
-
             raise ConfigError("--histogram needs --pulses")
         hist = fileio.load_histogram(args.histogram)
         cfg = ingest.BinningConfig(
@@ -327,16 +304,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_export_plots(args) -> int:
-    import numpy as np
-
-    from . import fileio
-    from .errors import DataError
-
     povm = fileio.load_povm_csv(args.povm)
-    lo = hi = None
+    band = None
     if args.band:
-        lo, hi = fileio.load_band(args.band)
-        if lo.shape != povm.theta.shape:
+        band = fileio.load_band(args.band)
+        if band[0].shape != povm.theta.shape:
             raise DataError("band shape does not match the POVM")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -349,14 +321,7 @@ def _cmd_export_plots(args) -> int:
         )
     else:
         grid = np.arange(n_rows)
-    for n in range(povm.n_outcomes):
-        lines = ["i,theta" + (",lo,hi" if lo is not None else "")]
-        for i in grid:
-            cells = [str(int(i)), "%.17g" % povm.theta[i, n]]
-            if lo is not None:
-                cells += ["%.17g" % lo[i, n], "%.17g" % hi[i, n]]
-            lines.append(",".join(cells))
-        (out_dir / f"outcome_{n:03d}.csv").write_text("\n".join(lines) + "\n")
+    fileio.save_plot_series(povm, grid, band, out_dir)
     print(f"wrote {povm.n_outcomes} series to {out_dir}")
     return EXIT_OK
 
@@ -373,16 +338,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ[var] = str(args.threads)
-    from .errors import ConfigError, DataError
-
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, FileNotFoundError) as exc:

@@ -18,13 +18,12 @@ source.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .probe_states import poisson_pmf
+from .probe_states import poisson_pmf, poisson_window
 
 #: Typical per-bin dark-click probability of the real device (per 2 ns bin).
 TYPICAL_DARK_PROB = 3e-8
@@ -46,10 +45,11 @@ class POVMSet:
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim != 2:
             raise ConfigError("POVM matrix must be two-dimensional")
-        if theta.min() < -1e-12 or theta.max() > 1.0 + 1e-12:
+        # written so that NaN fails every check
+        if not (theta.min() >= -1e-12 and theta.max() <= 1.0 + 1e-12):
             raise ConfigError("POVM entries must lie in [0, 1]")
         dev = np.abs(theta.sum(axis=1) - 1.0).max()
-        if dev > 1e-8:
+        if not dev <= 1e-8:
             raise ConfigError(f"POVM rows must sum to 1 (worst deviation {dev:.2e})")
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
@@ -393,13 +393,11 @@ def fock_sum_bin_prob(
 ) -> float:
     """Poisson-weighted Fock sum for one bin; oracle for the analytic form.
 
-    The window extends tail_sigmas standard deviations around the mean with
-    a fixed pad of 32 so small means keep negligible truncation error.
+    The sum runs over ``probe_states.poisson_window``.
     """
     if mean_photon == 0:
         return 0.0
-    lo = max(0, math.floor(mean_photon - tail_sigmas * math.sqrt(mean_photon)))
-    hi = math.ceil(mean_photon + tail_sigmas * math.sqrt(mean_photon)) + 32
+    lo, hi = poisson_window(mean_photon, tail_sigmas)
     i = np.arange(lo, hi + 1)
     weights = poisson_pmf(i, mean_photon)
     q = per_photon_bin_probs(params)[bin_index - 1]

@@ -31,7 +31,7 @@ from .detector_model import (
     poisson_binomial_rows,
 )
 from .errors import CompetingBasinError, DataError
-from .probe_states import poisson_pmf
+from .probe_states import poisson_pmf, poisson_window
 
 DEFAULT_MU_BOUNDS = (1e-3, 1e9)
 
@@ -64,9 +64,8 @@ def crosscheck_fock_path(
 ) -> np.ndarray:
     """Outcome distribution via explicit Poisson row times Fock POVM.
 
-    The Poisson weights are restricted to a window of +-tail_sigmas
-    standard deviations (padded by 32 so small means stay exact) and the
-    POVM rows are accumulated in chunks, so the memory footprint is
+    The Poisson weights are restricted to ``probe_states.poisson_window``
+    and the POVM rows are accumulated in chunks, so the memory footprint is
     bounded regardless of the mean.
     """
     if mean_photon < 0:
@@ -75,8 +74,7 @@ def crosscheck_fock_path(
         out = np.zeros(params.n_outcomes)
         out[0] = 1.0
         return out
-    lo = max(0, math.floor(mean_photon - tail_sigmas * math.sqrt(mean_photon)))
-    hi = math.ceil(mean_photon + tail_sigmas * math.sqrt(mean_photon)) + 32
+    lo, hi = poisson_window(mean_photon, tail_sigmas)
     acc = np.zeros(params.n_outcomes)
     for start in range(lo, hi + 1, chunk_rows):
         stop = min(start + chunk_rows - 1, hi)
@@ -163,9 +161,10 @@ def estimate_mean_photon(
             f"outcome distribution has {p_obs.size} entries, "
             f"expected {params.n_outcomes}"
         )
-    if p_obs.min() < -1e-12:
+    # written so that NaN fails both checks
+    if not p_obs.min() >= -1e-12:
         raise DataError("negative outcome probabilities")
-    if abs(p_obs.sum() - 1.0) > 1e-6:
+    if not abs(p_obs.sum() - 1.0) <= 1e-6:
         raise DataError(f"outcome distribution sums to {p_obs.sum():.8f}, not 1")
 
     if p_obs[0] >= 1.0:

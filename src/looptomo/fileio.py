@@ -7,6 +7,7 @@ fixed-size blocks, so no artifact is held in memory as one string.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 from pathlib import Path
@@ -43,14 +44,45 @@ def _outcome_header(first: str, n_out: int) -> str:
     return first + "," + ",".join(f"outcome_{n}" for n in range(n_out))
 
 
-def _load_json(path) -> dict:
+def _read_csv(path, header_prefix: str, what: str) -> tuple[list[str], np.ndarray]:
+    """Header cells and float body of a numeric CSV artifact.
+
+    A header not starting with ``header_prefix`` is a ConfigError. An empty
+    body, an unparsable cell, a ragged row or a body whose width differs
+    from the header's is a DataError. Blank lines are skipped.
+    """
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            has_body = any(line.strip() for line in fh)
+        if not header.startswith(header_prefix):
+            raise ConfigError(f"{path}: not {what}")
+        if not has_body:  # checked first: loadtxt warns on an empty body
+            raise DataError(f"{path}: {what} has no rows")
+        body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    cells = header.split(",")
+    if body.shape[1] != len(cells):
+        raise DataError(f"{path}: {body.shape[1]} values per row, {len(cells)} columns")
+    return cells, body
+
+
+def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+
+
+@contextlib.contextmanager
+def _json_fields(path):
+    """Read JSON document fields: a missing or mistyped one is a ConfigError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: missing or malformed field: {exc}") from exc
 
 
 # -- model parameters ---------------------------------------------------------
@@ -66,7 +98,7 @@ def _params_doc(params: LoopParams) -> dict:
 
 
 def _params_from_doc(doc, path) -> LoopParams:
-    try:
+    with _json_fields(path):
         return LoopParams(
             reflectivity=float(doc["R"]),
             loop_efficiency=float(doc["eta_loop"]),
@@ -74,10 +106,6 @@ def _params_from_doc(doc, path) -> LoopParams:
             n_bins=int(doc["n_bins"]),
             bin_period_ns=float(doc.get("bin_period_ns", 156.0)),
         )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing parameter {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def save_params(params: LoopParams, path) -> None:
@@ -105,15 +133,13 @@ def load_ensemble(path) -> ProbeEnsemble:
     doc = _load_json(path)
     if isinstance(doc, list):
         doc = {"probes": doc}
-    try:
+    with _json_fields(path):
         means = [float(p["mean_photon"]) for p in doc["probes"]]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: malformed probe list") from exc
-    return ProbeEnsemble.from_means(
-        means,
-        truncation_dim=doc.get("truncation_dim"),
-        tail_sigmas=float(doc.get("tail_sigmas", 6.0)),
-    )
+        truncation_dim = doc.get("truncation_dim")
+        if truncation_dim is not None:
+            truncation_dim = int(truncation_dim)
+        tail_sigmas = float(doc.get("tail_sigmas", 6.0))
+    return ProbeEnsemble.from_means(means, truncation_dim, tail_sigmas)
 
 
 # -- histograms ---------------------------------------------------------------
@@ -155,14 +181,11 @@ def save_histogram_json(hist: TimeTagHistogram, path) -> None:
 
 def load_histogram_json(path) -> TimeTagHistogram:
     doc = _load_json(path)
-    try:
-        return TimeTagHistogram(
-            np.asarray(doc["counts"], dtype=np.int64),
-            float(doc["bin_width_ps"]),
-            float(doc.get("t0_ps", 1000.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing field {exc}") from exc
+    with _json_fields(path):
+        counts = np.asarray(doc["counts"], dtype=np.int64)
+        bin_width_ps = float(doc["bin_width_ps"])
+        t0_ps = float(doc.get("t0_ps", 1000.0))
+    return TimeTagHistogram(counts, bin_width_ps, t0_ps)
 
 
 def load_histogram(path) -> TimeTagHistogram:
@@ -191,10 +214,24 @@ def save_manifest(
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _is_count(value) -> bool:
+    """A JSON integer >= 1 (not a float, not a boolean)."""
+    return type(value) is int and value >= 1
+
+
 def load_manifest(path) -> dict:
+    """The manifest document, with every field ``reconstruct`` reads checked."""
     doc = _load_json(path)
-    if "runs" not in doc or not doc["runs"]:
-        raise ConfigError(f"{path}: manifest has no runs")
+    with _json_fields(path):
+        if not doc["runs"]:
+            raise ConfigError(f"{path}: manifest has no runs")
+        if not all(isinstance(run["histogram"], str) and _is_count(run["n_pulses"])
+                   for run in doc["runs"]):
+            raise ConfigError(f"{path}: a run lacks a histogram path or n_pulses >= 1")
+        if doc.get("n_bins") is not None and not _is_count(doc["n_bins"]):
+            raise ConfigError(f"{path}: n_bins must be an integer >= 1")
+        if not float(doc.get("bin_period_ns", 156.0)) > 0:
+            raise ConfigError(f"{path}: bin_period_ns must be > 0")
     return doc
 
 
@@ -209,20 +246,11 @@ def save_outcome_matrix(matrix: OutcomeMatrix, path) -> None:
 
 
 def load_outcome_matrix(path) -> OutcomeMatrix:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("n_pulses,outcome_0"):
-        raise ConfigError(f"{path}: not an outcome matrix CSV")
-    pulses = []
-    rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        pulses.append(int(cells[0]))
-        rows.append([float(x) for x in cells[1:]])
-    if not rows:
-        raise DataError(f"{path}: no outcome rows")
-    return OutcomeMatrix(np.asarray(rows), np.asarray(pulses))
+    _, body = _read_csv(path, "n_pulses,outcome_0", "an outcome matrix CSV")
+    pulses = body[:, 0]
+    if not np.all((np.abs(pulses) < 2.0**63) & (pulses == np.round(pulses))):
+        raise DataError(f"{path}: n_pulses must be integers")
+    return OutcomeMatrix(np.ascontiguousarray(body[:, 1:]), pulses.astype(np.int64))
 
 
 # -- POVM sets ----------------------------------------------------------------
@@ -251,20 +279,13 @@ def save_povm_rows_csv(rows: np.ndarray, first_index: int, path) -> None:
 
 
 def load_povm_csv(path) -> POVMSet:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("fock_index,outcome_0"):
-        raise ConfigError(f"{path}: not a POVM CSV")
-    rows = []
-    supported = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        rows.append([float(x) for x in cells[1:-1]])
-        supported.append(bool(int(cells[-1])))
-    if not rows:
-        raise DataError(f"{path}: no POVM rows")
-    return POVMSet(np.asarray(rows), np.asarray(supported))
+    cells, body = _read_csv(path, "fock_index,outcome_0", "a POVM CSV")
+    if cells[-1] != "supported":
+        raise ConfigError(f"{path}: last POVM CSV column must be 'supported'")
+    flags = body[:, -1]
+    if not np.all((flags == 0) | (flags == 1)):
+        raise DataError(f"{path}: support flags must be 0 or 1")
+    return POVMSet(np.ascontiguousarray(body[:, 1:-1]), flags == 1)
 
 
 def save_report(report: ReconstructionReport, path) -> None:
@@ -297,25 +318,35 @@ def save_lcurve(sweep: SweepResult, path) -> None:
     )
 
 
+def _band_header(n_out: int) -> str:
+    return "fock_index," + ",".join(f"lo_{n},hi_{n}" for n in range(n_out))
+
+
 def save_band(band: UncertaintyBand, path) -> None:
-    n_out = band.lo.shape[1]
-    header = "fock_index," + ",".join(f"lo_{n},hi_{n}" for n in range(n_out))
     interleaved = np.stack([band.lo, band.hi], axis=2).reshape(len(band.lo), -1)
-    _write_csv(path, header, _labelled_lines(itertools.count(), interleaved))
+    _write_csv(
+        path,
+        _band_header(band.lo.shape[1]),
+        _labelled_lines(itertools.count(), interleaved),
+    )
 
 
 def load_band(path) -> tuple[np.ndarray, np.ndarray]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("fock_index,lo_0"):
-        raise ConfigError(f"{path}: not a band CSV")
-    lo_rows, hi_rows = [], []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        vals = [float(x) for x in line.split(",")[1:]]
-        lo_rows.append(vals[0::2])
-        hi_rows.append(vals[1::2])
-    return np.asarray(lo_rows), np.asarray(hi_rows)
+    """The (lo, hi) arrays of a band CSV, one column per outcome."""
+    cells, body = _read_csv(path, "fock_index,lo_0", "a band CSV")
+    if ",".join(cells) != _band_header((len(cells) - 1) // 2):
+        raise ConfigError(f"{path}: band header must be fock_index, lo_n,hi_n pairs")
+    return body[:, 1::2], body[:, 2::2]
+
+
+def save_plot_series(povm: POVMSet, grid, band, out_dir) -> None:
+    """One "i,theta[,lo,hi]" CSV per outcome, at the Fock indices ``grid``;
+    ``band`` is the (lo, hi) pair of ``load_band``, or None."""
+    header = "i,theta" if band is None else "i,theta,lo,hi"
+    for n in range(povm.n_outcomes):
+        columns = [povm.theta[grid, n]] + [b[grid, n] for b in band or ()]
+        _write_csv(Path(out_dir) / f"outcome_{n:03d}.csv", header,
+                   _labelled_lines(grid, np.column_stack(columns)))
 
 
 # -- fit results and estimates ------------------------------------------------

@@ -155,10 +155,11 @@ class OutcomeMatrix:
         pulses = np.asarray(self.n_pulses, dtype=np.int64)
         if values.shape[0] != pulses.size:
             raise ConfigError("one pulse count per outcome row required")
-        if values.min() < 0.0 or values.max() > 1.0 + 1e-12:
+        # written so that NaN fails every check
+        if not (values.min() >= 0.0 and values.max() <= 1.0 + 1e-12):
             raise DataError("outcome probabilities must lie in [0, 1]")
         dev = np.abs(values.sum(axis=1) - 1.0).max()
-        if dev > 1e-10:
+        if not dev <= 1e-10:
             raise DataError(f"outcome rows must sum to 1 (worst deviation {dev:.2e})")
         values.flags.writeable = False
         pulses.flags.writeable = False

@@ -98,6 +98,14 @@ def poisson_row(mean_photon: float, truncation_dim: int) -> np.ndarray:
     return poisson_pmf(np.arange(truncation_dim + 1), mean_photon)
 
 
+def poisson_window(mean_photon: float, tail_sigmas: float) -> tuple[int, int]:
+    """Photon numbers [lo, hi] holding a Poisson row's mass: tail_sigmas
+    standard deviations about the mean, padded by 32 so small means stay exact."""
+    spread = tail_sigmas * math.sqrt(mean_photon)
+    lo = max(0, math.floor(mean_photon - spread))
+    return lo, math.ceil(mean_photon + spread) + 32
+
+
 def default_truncation(max_mean: float, tail_sigmas: float = 6.0) -> int:
     """Truncation that keeps tail_sigmas standard deviations above max_mean."""
     if max_mean < 0:

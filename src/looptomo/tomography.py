@@ -512,7 +512,6 @@ class UncertaintyBand:
     hi: np.ndarray
     n_mc: int
     amplitude_rel_err: float
-    mode: str
     #: one entry per draw whose solve stopped unconverged
     warnings: tuple[str, ...] = ()
 
@@ -524,20 +523,17 @@ def uncertainty_band(
     amplitude_rel_err: float = 0.05,
     n_mc: int = 16,
     seed: int = 0,
-    mode: str = "envelope",
 ) -> UncertaintyBand:
     """Monte-Carlo band from probe amplitude calibration uncertainty.
 
     Each draw scales every probe amplitude by an independent (1 + delta),
     delta uniform within +-amplitude_rel_err, i.e. scales the mean photon
-    number by (1 + delta)^2, rebuilds F and reconstructs. ``mode`` selects
-    a min/max envelope (default) or a mean +- one-standard-deviation band.
-    Draws whose solve stops unconverged are reported as warnings.
+    number by (1 + delta)^2, rebuilds F and reconstructs. The band is the
+    min/max envelope of the draws. Draws whose solve stops unconverged are
+    reported as warnings.
     """
     if n_mc < 2:
         raise ConfigError(f"n_mc must be >= 2, got {n_mc}")
-    if mode not in ("envelope", "std"):
-        raise ConfigError(f"unknown band mode {mode!r}")
     if not isinstance(probe_matrix, ProbeMatrix):
         raise ConfigError("uncertainty_band needs a ProbeMatrix carrying probe means")
     means = probe_matrix.mean_photons
@@ -557,12 +553,10 @@ def uncertainty_band(
                 f"{report.iterations} iterations"
             )
     stack = np.stack(samples)
-    if mode == "envelope":
-        lo, hi = stack.min(axis=0), stack.max(axis=0)
-    else:
-        mean, std = stack.mean(axis=0), stack.std(axis=0)
-        lo, hi = mean - std, mean + std
-    return UncertaintyBand(lo, hi, n_mc, amplitude_rel_err, mode, tuple(warnings_list))
+    return UncertaintyBand(
+        stack.min(axis=0), stack.max(axis=0), n_mc, amplitude_rel_err,
+        tuple(warnings_list),
+    )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ import pytest
 from looptomo import (
     LoopParams,
     OutcomeMatrix,
+    POVMSet,
     ProbeEnsemble,
+    UncertaintyBand,
     coherent_outcome_distribution,
     fileio,
 )
@@ -319,6 +321,37 @@ class TestMoreSurfaces:
         series = (plots / "outcome_000.csv").read_text().splitlines()
         assert 2 < len(series) - 1 < 4001  # decimated log grid
 
+    @pytest.mark.parametrize("extra", [[], ["--log-grid"]])
+    def test_export_pinned_bytes(self, tmp_path, extra):
+        theta = np.array([[1.0, 0.0], [0.25, 0.75], [0.1, 0.9]])
+        povm_path, band_path = tmp_path / "p.csv", tmp_path / "b.csv"
+        fileio.save_povm_csv(POVMSet(theta, [True, True, False]), povm_path)
+        band = UncertaintyBand(theta * 0.9, np.minimum(theta * 1.1, 1.0), 2, 0.05)
+        fileio.save_band(band, band_path)
+        bare, banded = tmp_path / "bare", tmp_path / "banded"
+        assert main(["export-plots", "--povm", str(povm_path), *extra,
+                     "--out-dir", str(bare)]) == 0
+        assert main(["export-plots", "--povm", str(povm_path), *extra,
+                     "--band", str(band_path), "--out-dir", str(banded)]) == 0
+        assert (bare / "outcome_000.csv").read_text() == (
+            "i,theta\n0,1\n1,0.25\n2,0.10000000000000001\n"
+        )
+        assert (bare / "outcome_001.csv").read_text() == (
+            "i,theta\n0,0\n1,0.75\n2,0.90000000000000002\n"
+        )
+        assert (banded / "outcome_000.csv").read_text() == (
+            "i,theta,lo,hi\n"
+            "0,1,0.90000000000000002,1\n"
+            "1,0.25,0.22500000000000001,0.27500000000000002\n"
+            "2,0.10000000000000001,0.090000000000000011,0.11000000000000001\n"
+        )
+        assert (banded / "outcome_001.csv").read_text() == (
+            "i,theta,lo,hi\n"
+            "0,0,0,0\n"
+            "1,0.75,0.67500000000000004,0.82500000000000007\n"
+            "2,0.90000000000000002,0.81000000000000005,0.9900000000000001\n"
+        )
+
     def test_empty_povm_file_is_error(self, tmp_path):
         bad = tmp_path / "empty.csv"
         bad.write_text("fock_index,outcome_0,outcome_1,supported\n")
@@ -411,6 +444,62 @@ class TestMoreSurfaces:
             ]
         )
         assert code == 2
+
+
+_POVM_2 = "fock_index,outcome_0,outcome_1,supported\n0,1,0,1\n1,0.5,0.5,1\n"
+_RECONSTRUCT = ["reconstruct", "--manifest", "m.json", "--ensemble", "ens.json",
+                "--epsilon", "1e-4", "--out", "out"]
+_ESTIMATE_HIST = ["estimate", "--params", "params.json", "--histogram", "h.json",
+                  "--pulses", "100", "--out", "out"]
+
+
+# malformed inputs; each once ended in a traceback, a wrong exit code or a
+# NaN result
+FUZZ_TABLE = [
+    pytest.param(_RECONSTRUCT, {"m.json": "5"}, 2, id="manifest-number"),
+    pytest.param(_RECONSTRUCT, {"m.json": "null"}, 2, id="manifest-null"),
+    pytest.param(_RECONSTRUCT, {"m.json": '{"runs": 5}'}, 2, id="runs-number"),
+    pytest.param(_RECONSTRUCT, {"m.json": '{"runs": ["x"]}'}, 2, id="run-string"),
+    pytest.param(_RECONSTRUCT, {"m.json": '{"runs": [{"n_pulses": 5}]}'}, 2,
+                 id="run-without-histogram"),
+    pytest.param(_ESTIMATE_HIST, {"h.json": "[1,2]"}, 2, id="histogram-json-list"),
+    pytest.param(_ESTIMATE_HIST, {"h.json": "3"}, 2, id="histogram-json-number"),
+    pytest.param(_ESTIMATE_HIST,
+                 {"h.json": '{"counts": [1e400], "bin_width_ps": 10}'}, 2,
+                 id="histogram-json-infinite-count"),
+    pytest.param(["export-plots", "--povm", "p.csv", "--band", "b.csv",
+                  "--out-dir", "out"],
+                 {"p.csv": _POVM_2,
+                  "b.csv": "fock_index,lo_0,hi_0,lo_1,hi_1\n0,1,1,0\n1,0.5,0.5,0.5\n"},
+                 3, id="band-row-short"),
+    pytest.param(["simulate", "--params", "params.json", "--ensemble", "e.json",
+                  "--out-dir", "out"],
+                 {"e.json": '{"probes": [{"mean_photon": 1}], "truncation_dim": "x"}'},
+                 2, id="ensemble-truncation-text"),
+    pytest.param(["fit", "--povm", "p.csv", "--bins", "1", "--out", "out"],
+                 {"p.csv": _POVM_2.replace(",1\n", ",2\n")}, 3, id="support-flag-2"),
+    pytest.param(["estimate", "--params", "params2.json", "--outcome-dist", "d.csv",
+                  "--out", "out"],
+                 {"d.csv": "n_pulses,outcome_0,outcome_1,outcome_2\n100,nan,nan,nan\n"},
+                 3, id="outcome-dist-nan"),
+    pytest.param(["export-plots", "--povm", "p.csv", "--out-dir", "out"],
+                 {"p.csv": "fock_index,outcome_0,outcome_1,supported\n0,nan,nan,1\n"},
+                 2, id="povm-nan"),
+]
+
+
+@pytest.mark.parametrize("argv, files, code", FUZZ_TABLE)
+def test_malformed_input_exit_codes(tmp_path, monkeypatch, capsys, argv, files, code):
+    monkeypatch.chdir(tmp_path)
+    fileio.save_params(PARAMS, "params.json")
+    fileio.save_params(LoopParams(0.89613, 0.9064, 0.4912, 2), "params2.json")
+    fileio.save_ensemble(ProbeEnsemble.from_means([0.0, 1.0]), "ens.json")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == code
+    prefix = {2: "configuration error: ", 3: "data error: "}[code]
+    assert capsys.readouterr().err.startswith(prefix)
+    assert not (tmp_path / "out").exists()
 
 
 class TestExitCodes:

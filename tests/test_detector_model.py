@@ -3,7 +3,9 @@ import pytest
 from scipy import stats
 
 from looptomo import (
+    ConfigError,
     LoopParams,
+    POVMSet,
     bin_click_prob_coherent,
     bin_click_prob_fock,
     build_model_povm,
@@ -242,6 +244,12 @@ class TestBuildModelPovm:
         a = build_model_povm(DEVICE, 403, chunk_rows=64)
         b = build_model_povm(DEVICE, 403, chunk_rows=100_000)
         np.testing.assert_array_equal(a.theta, b.theta)
+
+
+@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan]])
+def test_povm_with_nan_is_rejected(row):
+    with pytest.raises(ConfigError):
+        POVMSet(np.array([[1.0, 0.0], row]))
 
 
 class TestSimulator:

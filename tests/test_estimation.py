@@ -50,6 +50,13 @@ class TestEstimateMeanPhoton:
         with pytest.raises(DataError):
             estimate_mean_photon(p, BRIGHT)
 
+    @pytest.mark.parametrize("nan_at", [0, 1, 119])
+    def test_nan_input_rejected(self, nan_at):
+        p = coherent_outcome_distribution(BRIGHT, 100.0)
+        p[nan_at] = np.nan
+        with pytest.raises(DataError):
+            estimate_mean_photon(p, BRIGHT)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(DataError):
             estimate_mean_photon(np.ones(11) / 11, BRIGHT)

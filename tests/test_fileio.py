@@ -234,3 +234,106 @@ class TestManifest:
         fileio.save_manifest([], path, seed=0)
         with pytest.raises(ConfigError):
             fileio.load_manifest(path)
+
+
+_POVM_HEAD = "fock_index,outcome_0,outcome_1,supported\n"
+_MATRIX_HEAD = "n_pulses,outcome_0,outcome_1\n"
+_BAND_HEAD = "fock_index,lo_0,hi_0,lo_1,hi_1\n"
+
+
+@pytest.mark.parametrize(
+    "reader, text, outcome",
+    [
+        (fileio.load_povm_csv, _POVM_HEAD, DataError),
+        (fileio.load_povm_csv, _POVM_HEAD + "\n\n", DataError),
+        (fileio.load_povm_csv, _POVM_HEAD + "0,1,0,2\n", DataError),
+        (fileio.load_povm_csv, _POVM_HEAD + "0,1,0,0.5\n", DataError),
+        (fileio.load_povm_csv, _POVM_HEAD + "0,1,0,nan\n", DataError),
+        (fileio.load_povm_csv, _POVM_HEAD + "0,1,0,1\n1,1,1\n", DataError),
+        (fileio.load_povm_csv, _POVM_HEAD + "0,1,0,1,\n", DataError),
+        (fileio.load_povm_csv, _POVM_HEAD + "0,1,zero,1\n", DataError),
+        (fileio.load_povm_csv, _POVM_HEAD + "0,1,0\n", DataError),
+        (fileio.load_povm_csv, "fock_index,outcome_0,outcome_1\n0,1,0\n",
+         ConfigError),
+        (fileio.load_povm_csv, "fock,outcome_0,supported\n0,1,1\n", ConfigError),
+        (fileio.load_povm_csv, "", ConfigError),
+        (fileio.load_povm_csv, _POVM_HEAD + "0,1,0,1\n\n1,0.5,0.5,0\n",
+         [[1, 0], [0.5, 0.5]]),
+        (fileio.load_povm_csv, _POVM_HEAD.replace("\n", "\r\n") + "0,1,0,1\r\n",
+         [[1, 0]]),
+        (fileio.load_outcome_matrix, _MATRIX_HEAD + "1.5,1,0\n", DataError),
+        (fileio.load_outcome_matrix, _MATRIX_HEAD + "nan,1,0\n", DataError),
+        (fileio.load_outcome_matrix, _MATRIX_HEAD + "1e30,1,0\n", DataError),
+        (fileio.load_outcome_matrix, _MATRIX_HEAD + "10,1\n", DataError),
+        (fileio.load_outcome_matrix, _MATRIX_HEAD + "10,1,0\n\n \n", DataError),
+        (fileio.load_outcome_matrix, "n_pulses,p0\n10,1\n", ConfigError),
+        (fileio.load_outcome_matrix, _MATRIX_HEAD + "10,1,0\n100,0.5,0.5\n",
+         [[1, 0], [0.5, 0.5]]),
+        (fileio.load_band, _BAND_HEAD + "0,1,1,0\n", DataError),
+        (fileio.load_band, _BAND_HEAD + "\n", DataError),
+        (fileio.load_band, "fock_index,lo_0,hi_0,lo_1\n0,1,1,0\n", ConfigError),
+        (fileio.load_band, "fock_index,lo_0,hi_1\n0,1,1\n", ConfigError),
+        (fileio.load_band, _BAND_HEAD + "0,0.9,1,0,0.1\n", [[0.9, 0]]),
+    ],
+)
+def test_artifact_csv_reader_table(tmp_path, recwarn, reader, text, outcome):
+    path = tmp_path / "a.csv"
+    path.write_bytes(text.encode())
+    if isinstance(outcome, list):
+        result = reader(path)
+        values = {fileio.load_povm_csv: lambda r: r.theta,
+                  fileio.load_outcome_matrix: lambda r: r.values,
+                  fileio.load_band: lambda r: r[0]}[reader](result)
+        np.testing.assert_array_equal(values, outcome)
+    else:
+        with pytest.raises(outcome):
+            reader(path)
+    assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
+def test_loaded_support_flags_and_pulses(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text(_POVM_HEAD + "0,1,0,1\n1,0.5,0.5,0\n")
+    np.testing.assert_array_equal(fileio.load_povm_csv(path).supported, [True, False])
+    path.write_text(_MATRIX_HEAD + "10,1,0\n100.0,0.5,0.5\n")
+    pulses = fileio.load_outcome_matrix(path).n_pulses
+    assert pulses.dtype == np.int64
+    np.testing.assert_array_equal(pulses, [10, 100])
+
+
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (fileio.load_manifest, "5"),
+        (fileio.load_manifest, "null"),
+        (fileio.load_manifest, "[]"),
+        (fileio.load_manifest, '{"runs": 5}'),
+        (fileio.load_manifest, '{"runs": ["x"]}'),
+        (fileio.load_manifest, '{"runs": [{"n_pulses": 5}]}'),
+        (fileio.load_manifest, '{"runs": [{"histogram": 3, "n_pulses": 5}]}'),
+        (fileio.load_manifest, '{"runs": [{"histogram": "h.csv", "n_pulses": 0}]}'),
+        (fileio.load_manifest, '{"runs": [{"histogram": "h.csv", "n_pulses": 5.5}]}'),
+        (fileio.load_manifest, '{"runs": [{"histogram": "h.csv", "n_pulses": true}]}'),
+        (fileio.load_manifest,
+         '{"runs": [{"histogram": "h.csv", "n_pulses": 5}], "n_bins": "10"}'),
+        (fileio.load_manifest,
+         '{"runs": [{"histogram": "h.csv", "n_pulses": 5}], "bin_period_ns": [1]}'),
+        (fileio.load_manifest,
+         '{"runs": [{"histogram": "h.csv", "n_pulses": 5}], "bin_period_ns": 0}'),
+        (fileio.load_histogram_json, "[1, 2]"),
+        (fileio.load_histogram_json, "3"),
+        (fileio.load_histogram_json, '{"counts": "x", "bin_width_ps": 10}'),
+        (fileio.load_histogram_json, '{"counts": [1e400], "bin_width_ps": 10}'),
+        (fileio.load_ensemble,
+         '{"probes": [{"mean_photon": 1}], "truncation_dim": "x"}'),
+        (fileio.load_ensemble, '{"probes": [{"mean_photon": 1}], "tail_sigmas": [6]}'),
+        (fileio.load_ensemble, '{"probes": 5}'),
+        (fileio.load_params, "5"),
+        (fileio.load_fit_params, '{"params": [0.9]}'),
+    ],
+)
+def test_malformed_json_fields_are_config_errors(tmp_path, loader, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        loader(path)

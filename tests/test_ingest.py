@@ -7,6 +7,7 @@ from looptomo import (
     ConfigError,
     DataError,
     LoopParams,
+    OutcomeMatrix,
     ProbeEnsemble,
     TimeTagHistogram,
     assemble_outcome_matrix,
@@ -124,6 +125,11 @@ class TestAssembleOutcomeMatrix:
         matrix = assemble_outcome_matrix([(hist, 1000)], CFG)
         assert matrix.values.shape == (1, 11)
         assert matrix.values[0, 0] == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("row", [[np.nan] * 3, [np.nan, 0.5, 0.5]])
+    def test_nan_outcome_rows_rejected(self, row):
+        with pytest.raises(DataError):
+            OutcomeMatrix(np.array([[1.0, 0.0, 0.0], row]), np.array([10, 10]))
 
     def test_empty_run_list_rejected(self):
         with pytest.raises(ConfigError):
