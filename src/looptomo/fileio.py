@@ -8,6 +8,7 @@ fixed-size blocks, so no artifact is held in memory as one string.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -68,6 +69,10 @@ def _read_csv(path, header_prefix: str, what: str) -> tuple[list[str], np.ndarra
     return cells, body
 
 
+def _write_json(path, doc) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -109,7 +114,7 @@ def _params_from_doc(doc, path) -> LoopParams:
 
 
 def save_params(params: LoopParams, path) -> None:
-    Path(path).write_text(json.dumps(_params_doc(params), indent=2) + "\n")
+    _write_json(path, _params_doc(params))
 
 
 def load_params(path) -> LoopParams:
@@ -126,7 +131,7 @@ def save_ensemble(ensemble: ProbeEnsemble, path) -> None:
         "truncation_dim": ensemble.truncation_dim,
         "tail_sigmas": ensemble.tail_sigmas,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(path, doc)
 
 
 def load_ensemble(path) -> ProbeEnsemble:
@@ -182,6 +187,9 @@ def save_histogram_json(hist: TimeTagHistogram, path) -> None:
 def load_histogram_json(path) -> TimeTagHistogram:
     doc = _load_json(path)
     with _json_fields(path):
+        # per element: np.asarray truncates 1.5 and reads [5, true] as integers
+        if not all(type(c) is int for c in doc["counts"]):
+            raise ConfigError(f"{path}: histogram counts must be JSON integers")
         counts = np.asarray(doc["counts"], dtype=np.int64)
         bin_width_ps = float(doc["bin_width_ps"])
         t0_ps = float(doc.get("t0_ps", 1000.0))
@@ -211,7 +219,7 @@ def save_manifest(
     if n_bins is not None:
         doc["n_bins"] = n_bins
         doc["bin_period_ns"] = bin_period_ns
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(path, doc)
 
 
 def _is_count(value) -> bool:
@@ -289,22 +297,10 @@ def load_povm_csv(path) -> POVMSet:
 
 
 def save_report(report: ReconstructionReport, path) -> None:
-    doc = {
-        "objective": report.objective,
-        "residual": report.residual,
-        "penalty": report.penalty,
-        "smoothness": report.smoothness,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "grad_norm": report.grad_norm,
-        "wall_time_s": report.wall_time_s,
-        "epsilon": report.epsilon,
-        "n_unsupported": report.n_unsupported,
-        "rho_changes": report.rho_changes,
-        "primal_residual": report.primal_residual,
-        "dual_residual": report.dual_residual,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    """The report's fields in declaration order, without the objective trace."""
+    doc = dataclasses.asdict(report)
+    del doc["objective_trace"]
+    _write_json(path, doc)
 
 
 def save_lcurve(sweep: SweepResult, path) -> None:
@@ -364,7 +360,7 @@ def save_fit_result(result: FitResult, path) -> None:
         "warnings": list(result.warnings),
         "n_evaluations": result.n_evaluations,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(path, doc)
 
 
 def load_fit_params(path) -> LoopParams:
@@ -375,18 +371,5 @@ def load_fit_params(path) -> LoopParams:
     return _params_from_doc(doc, path)
 
 
-def _optional_list(interval):
-    return None if interval is None else list(interval)
-
-
 def save_estimate(estimate, path) -> None:
-    doc = {
-        "mean_photon": estimate.mean_photon,
-        "residual": estimate.residual,
-        "confidence_interval": _optional_list(estimate.confidence_interval),
-        "method": estimate.method,
-        "curvature_interval": list(estimate.curvature_interval),
-        "bootstrap_interval": _optional_list(estimate.bootstrap_interval),
-        "n_bootstrap": estimate.n_bootstrap,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(path, dataclasses.asdict(estimate))

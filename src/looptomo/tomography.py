@@ -40,19 +40,20 @@ DEFAULT_SUPPORT_THRESHOLD = 1e-3
 RESIDUAL_FLOOR = 1e-12
 
 _POLISH_MAX_ENTRIES = 2048
+_POLISH_TOL = 1e-8  # active-set multiplier tolerance, relative to the gradient
 _REFINE_STEPS = 5  # cap on iterative-refinement steps per polish solve
+_ADMM_TOL = 1e-7  # scaled primal and dual residuals that stop ADMM
 _ADMM_CHECK_EVERY = 20
 _ADMM_ALPHA = 1.7  # over-relaxation
 _TINY = np.finfo(float).tiny
+_SWEEP_SLACK = 1e-7  # L-curve monotonicity violations below this are noise
 
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Smoothing weight and solver tolerances for reconstruct()."""
+    """Smoothing weight and iteration cap for reconstruct()."""
 
     epsilon: float
-    grad_tol: float = 1e-8
-    solver_tol: float = 1e-7
     max_iterations: int = 20000
 
     def __post_init__(self):
@@ -70,14 +71,15 @@ class ReconstructionReport:
     smoothness: float
     iterations: int
     converged: bool
-    grad_norm: float
+    #: Frank-Wolfe gap: an upper bound on objective - (optimal objective)
+    gap: float
     wall_time_s: float
     epsilon: float
     n_unsupported: int
     #: ADMM penalty-parameter changes made by residual balancing
     rho_changes: int
     #: primal and dual residuals at the last ADMM check, each scaled as in
-    #: the stopping test against SmoothingConfig.solver_tol
+    #: the stopping test against _ADMM_TOL
     primal_residual: float
     dual_residual: float
     objective_trace: tuple = field(repr=False, default=())
@@ -115,6 +117,23 @@ def _objective(F, P, theta, epsilon):
     resid = float(np.linalg.norm(P - F @ theta))
     s = smoothness_seminorm(theta)
     return resid + epsilon * s, resid, s
+
+
+def _fw_gap(F, P, theta, epsilon) -> float:
+    """Frank-Wolfe gap of simplex-row theta: sum_i <g_i, theta_i> - min_n g_in
+    for a subgradient g of the objective (Jaggi, ICML 2013).
+
+    By convexity it bounds objective(theta) - objective(any simplex-row
+    theta'), so it bounds the distance to the optimum. With r = P - F theta,
+    g takes the norm's subgradient -F^T r / ||r||, or 0 when r = 0 exactly.
+    """
+    grad = epsilon * _smoothness_grad(theta)
+    r = P - F @ theta
+    norm_r = np.linalg.norm(r)
+    if norm_r > 0:
+        grad -= F.T @ (r / norm_r)
+    # rows of theta sum to one, so this is sum(grad * theta) - sum(row minima)
+    return float(((grad - grad.min(axis=1, keepdims=True)) * theta).sum())
 
 
 class _ThetaSolver:
@@ -168,18 +187,14 @@ class _AdmmResult(NamedTuple):
     theta: np.ndarray  # best feasible iterate
     iterations: int
     trace: list
-    met: bool  # scaled residuals below solver_tol
+    met: bool  # scaled residuals below _ADMM_TOL
     rho_changes: int
     primal_residual: float  # scaled, at the last check
     dual_residual: float
 
 
-def _admm_phase(
-    F, P, epsilon, cfg: SmoothingConfig, max_iter: int | None = None
-) -> _AdmmResult:
+def _admm_phase(F, P, epsilon, max_iter: int) -> _AdmmResult:
     """Splitting phase: theta-update, residual-norm prox, simplex projection."""
-    if max_iter is None:
-        max_iter = cfg.max_iterations
     n_probes, m1 = F.shape
     n_out = P.shape[1]
     rho = 1.0
@@ -221,7 +236,7 @@ def _admm_phase(
                 best_obj, best = obj, z
             trace.append(best_obj)
             pr_scaled, dr_scaled = float(pr / norm_primal), float(dr / norm_dual)
-            if max(pr_scaled, dr_scaled) < cfg.solver_tol:
+            if max(pr_scaled, dr_scaled) < _ADMM_TOL:
                 met = True
                 break
             # residual balancing
@@ -369,7 +384,7 @@ def _active_set_qp(Q, b_flat, x0, max_pivots, tol):
     return x.reshape(m1, n_out), False
 
 
-def _polish_phase(F, P, epsilon, theta, cfg: SmoothingConfig, trace):
+def _polish_phase(F, P, epsilon, theta, trace):
     """Majorize-minimize outer loop with active-set inner solves.
 
     Each outer iteration replaces the unsquared residual norm by its
@@ -394,7 +409,7 @@ def _polish_phase(F, P, epsilon, theta, cfg: SmoothingConfig, trace):
         s = max(resid, RESIDUAL_FLOOR)
         q_mat = ftf / s + 2.0 * epsilon * dtd
         theta_new, solved = _active_set_qp(
-            q_mat, (ftp / s).ravel(), theta, max_pivots=400, tol=cfg.grad_tol
+            q_mat, (ftp / s).ravel(), theta, max_pivots=400, tol=_POLISH_TOL
         )
         obj, _, _ = _objective(F, P, theta_new, epsilon)
         noise = 1e-15 * max(1.0, prev_obj)
@@ -459,26 +474,14 @@ def reconstruct(
         raise DataError("probe and outcome matrices must be finite")
     t_start = time.perf_counter()
     can_polish = (F.shape[1] * P.shape[1]) <= _POLISH_MAX_ENTRIES
-    admm_cap = min(cfg.max_iterations, 2000) if can_polish else None
-    admm = _admm_phase(F, P, cfg.epsilon, cfg, max_iter=admm_cap)
+    admm_cap = min(cfg.max_iterations, 2000) if can_polish else cfg.max_iterations
+    admm = _admm_phase(F, P, cfg.epsilon, admm_cap)
     theta, trace = admm.theta, admm.trace
     polished = False
     if can_polish:
-        theta, polished = _polish_phase(F, P, cfg.epsilon, theta, cfg, trace)
+        theta, polished = _polish_phase(F, P, cfg.epsilon, theta, trace)
     theta = project_rows_to_simplex(theta)
     obj, resid, smooth = _objective(F, P, theta, cfg.epsilon)
-
-    # projected-gradient mapping of the norm-smoothed objective, reported
-    # relative to the gradient magnitude so it stays meaningful when the
-    # residual (and with it the smoothing scale s) collapses to zero
-    s = max(resid, RESIDUAL_FLOOR)
-    grad = F.T @ (F @ theta - P) / s + cfg.epsilon * _smoothness_grad(theta)
-    lip = np.linalg.norm(F, 2) ** 2 / s + 8.0 * cfg.epsilon
-    step = 1.0 / lip
-    mapping = (
-        np.linalg.norm(theta - project_rows_to_simplex(theta - step * grad)) / step
-    )
-    grad_norm = float(mapping / max(1.0, np.linalg.norm(grad)))
 
     column_mass = F.sum(axis=0)
     supported = column_mass > support_threshold
@@ -489,7 +492,7 @@ def reconstruct(
         smoothness=smooth,
         iterations=admm.iterations,
         converged=bool(admm.met or polished),
-        grad_norm=grad_norm,
+        gap=_fw_gap(F, P, theta, cfg.epsilon),
         wall_time_s=time.perf_counter() - t_start,
         epsilon=cfg.epsilon,
         n_unsupported=int((~supported).sum()),
@@ -598,17 +601,12 @@ def l_curve_corner(points) -> float:
 
 
 def epsilon_sweep(
-    probe_matrix,
-    outcomes,
-    epsilons,
-    grad_tol: float = 1e-8,
-    solver_tol: float = 1e-7,
-    max_iterations: int = 20000,
+    probe_matrix, outcomes, epsilons, max_iterations: int = 20000
 ) -> SweepResult:
     """Reconstruct at each smoothing weight; collect the L-curve.
 
     The residual should be nondecreasing and the smoothness seminorm
-    nonincreasing in epsilon; violations (beyond solver tolerance) and
+    nonincreasing in epsilon; violations (beyond _SWEEP_SLACK) and
     solves that stop unconverged are reported as warnings, not errors.
     """
     eps_list = sorted(float(e) for e in epsilons)
@@ -617,12 +615,7 @@ def epsilon_sweep(
     points = []
     warnings_list = []
     for eps in eps_list:
-        cfg = SmoothingConfig(
-            epsilon=eps,
-            grad_tol=grad_tol,
-            solver_tol=solver_tol,
-            max_iterations=max_iterations,
-        )
+        cfg = SmoothingConfig(epsilon=eps, max_iterations=max_iterations)
         _, report = reconstruct(probe_matrix, outcomes, cfg)
         points.append(
             SweepPoint(eps, report.residual, report.smoothness, report.objective)
@@ -632,13 +625,12 @@ def epsilon_sweep(
                 f"solve at eps={eps:g} did not converge in "
                 f"{report.iterations} iterations"
             )
-    slack = 10 * max(grad_tol, 1e-12)
     for prev, cur in zip(points, points[1:]):
-        if cur.residual < prev.residual - slack:
+        if cur.residual < prev.residual - _SWEEP_SLACK:
             warnings_list.append(
                 f"residual decreased from eps={prev.epsilon:g} to {cur.epsilon:g}"
             )
-        if cur.smoothness > prev.smoothness + slack:
+        if cur.smoothness > prev.smoothness + _SWEEP_SLACK:
             warnings_list.append(
                 f"smoothness increased from eps={prev.epsilon:g} to {cur.epsilon:g}"
             )

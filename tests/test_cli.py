@@ -451,6 +451,15 @@ _RECONSTRUCT = ["reconstruct", "--manifest", "m.json", "--ensemble", "ens.json",
                 "--epsilon", "1e-4", "--out", "out"]
 _ESTIMATE_HIST = ["estimate", "--params", "params.json", "--histogram", "h.json",
                   "--pulses", "100", "--out", "out"]
+_ESTIMATE_HIST2 = ["estimate", "--params", "params2.json", "--histogram", "h.json",
+                   "--pulses", "100", "--out", "out"]
+
+
+def _hist_json(last_count: str) -> str:
+    """A histogram JSON that _ESTIMATE_HIST2 accepts when last_count is an
+    integer: 312 bins of 1 ns, i.e. two 156 ns detector bins."""
+    counts = ", ".join(["5"] * 311 + [last_count])
+    return f'{{"counts": [{counts}], "bin_width_ps": 1000, "t0_ps": 78000}}'
 
 
 # malformed inputs; each once ended in a traceback, a wrong exit code or a
@@ -467,6 +476,17 @@ FUZZ_TABLE = [
     pytest.param(_ESTIMATE_HIST,
                  {"h.json": '{"counts": [1e400], "bin_width_ps": 10}'}, 2,
                  id="histogram-json-infinite-count"),
+    pytest.param(_ESTIMATE_HIST2, {"h.json": _hist_json("1.5")}, 2,
+                 id="histogram-json-fractional-count"),
+    pytest.param(_ESTIMATE_HIST2, {"h.json": _hist_json("2.0")}, 2,
+                 id="histogram-json-float-count"),
+    pytest.param(_ESTIMATE_HIST2, {"h.json": _hist_json("true")}, 2,
+                 id="histogram-json-boolean-count"),
+    # None: the input path is a directory
+    pytest.param(_ESTIMATE_HIST, {"h.json": None}, 2, id="histogram-directory"),
+    pytest.param(_RECONSTRUCT, {"m.json": None}, 2, id="manifest-directory"),
+    pytest.param(["export-plots", "--povm", "p.csv", "--out-dir", "out"],
+                 {"p.csv": None}, 2, id="povm-directory"),
     pytest.param(["export-plots", "--povm", "p.csv", "--band", "b.csv",
                   "--out-dir", "out"],
                  {"p.csv": _POVM_2,
@@ -495,11 +515,22 @@ def test_malformed_input_exit_codes(tmp_path, monkeypatch, capsys, argv, files, 
     fileio.save_params(LoopParams(0.89613, 0.9064, 0.4912, 2), "params2.json")
     fileio.save_ensemble(ProbeEnsemble.from_means([0.0, 1.0]), "ens.json")
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if text is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_text(text)
     assert main(argv) == code
     prefix = {2: "configuration error: ", 3: "data error: "}[code]
     assert capsys.readouterr().err.startswith(prefix)
     assert not (tmp_path / "out").exists()
+
+
+def test_histogram_json_integer_counts_accepted(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fileio.save_params(LoopParams(0.89613, 0.9064, 0.4912, 2), "params2.json")
+    (tmp_path / "h.json").write_text(_hist_json("5"))
+    assert main(_ESTIMATE_HIST2) == 0
+    assert json.loads((tmp_path / "out").read_text())["mean_photon"] > 0
 
 
 class TestExitCodes:

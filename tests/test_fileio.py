@@ -19,6 +19,7 @@ from looptomo import (
     reconstruct,
 )
 from looptomo import fileio
+from looptomo.estimation import BrightStateEstimate
 from looptomo.probe_states import poisson_row
 from looptomo.tomography import SweepPoint, SweepResult
 
@@ -206,6 +207,18 @@ class TestLcurveAndReport:
         assert doc["primal_residual"] == report.primal_residual
         assert doc["dual_residual"] == report.dual_residual
 
+    def test_report_json_keys_in_field_order(self, tmp_path):
+        f_mat = np.vstack([poisson_row(m, 20) for m in (0.0, 2.0, 5.0, 9.0)])
+        p_mat = f_mat @ build_model_povm(LoopParams(0.9, 0.9, 0.5, 2), 20).theta
+        _, report = reconstruct(f_mat, p_mat, SmoothingConfig(epsilon=1e-4))
+        path = tmp_path / "r.json"
+        fileio.save_report(report, path)
+        assert list(json.loads(path.read_text())) == [
+            "objective", "residual", "penalty", "smoothness", "iterations",
+            "converged", "gap", "wall_time_s", "epsilon", "n_unsupported",
+            "rho_changes", "primal_residual", "dual_residual",
+        ]
+
 
 class TestEstimateJson:
     def test_no_bootstrap_writes_null_interval(self, params, tmp_path):
@@ -217,6 +230,32 @@ class TestEstimateJson:
         assert doc["confidence_interval"] is None
         assert doc["bootstrap_interval"] is None
         assert doc["curvature_interval"] == list(est.curvature_interval)
+
+    def test_pinned_bytes_with_bootstrap(self, tmp_path):
+        est = BrightStateEstimate(71234.567890123, 3.0517578125e-05,
+                                  (70980.25, 71490.0), "bootstrap",
+                                  (71100.5, 71368.75), (70980.25, 71490.0), 99)
+        path = tmp_path / "est.json"
+        fileio.save_estimate(est, path)
+        assert path.read_text() == (
+            '{\n  "mean_photon": 71234.567890123,\n  "residual": 3.0517578125e-05,\n'
+            '  "confidence_interval": [\n    70980.25,\n    71490.0\n  ],\n'
+            '  "method": "bootstrap",\n'
+            '  "curvature_interval": [\n    71100.5,\n    71368.75\n  ],\n'
+            '  "bootstrap_interval": [\n    70980.25,\n    71490.0\n  ],\n'
+            '  "n_bootstrap": 99\n}\n'
+        )
+
+    def test_pinned_bytes_without_bootstrap(self, tmp_path):
+        est = BrightStateEstimate(40.0, 0.0, None, "golden", (39.5, 40.5))
+        path = tmp_path / "est.json"
+        fileio.save_estimate(est, path)
+        assert path.read_text() == (
+            '{\n  "mean_photon": 40.0,\n  "residual": 0.0,\n'
+            '  "confidence_interval": null,\n  "method": "golden",\n'
+            '  "curvature_interval": [\n    39.5,\n    40.5\n  ],\n'
+            '  "bootstrap_interval": null,\n  "n_bootstrap": 0\n}\n'
+        )
 
 
 class TestManifest:
@@ -324,6 +363,10 @@ def test_loaded_support_flags_and_pulses(tmp_path):
         (fileio.load_histogram_json, "3"),
         (fileio.load_histogram_json, '{"counts": "x", "bin_width_ps": 10}'),
         (fileio.load_histogram_json, '{"counts": [1e400], "bin_width_ps": 10}'),
+        (fileio.load_histogram_json, '{"counts": [1.5], "bin_width_ps": 10}'),
+        (fileio.load_histogram_json, '{"counts": [5, true], "bin_width_ps": 10}'),
+        (fileio.load_histogram_json,
+         '{"counts": [18446744073709551616], "bin_width_ps": 10}'),
         (fileio.load_ensemble,
          '{"probes": [{"mean_photon": 1}], "truncation_dim": "x"}'),
         (fileio.load_ensemble, '{"probes": [{"mean_photon": 1}], "tail_sigmas": [6]}'),

@@ -19,6 +19,8 @@ from looptomo import (
     poisson_binomial_pmf,
     project_rows_to_simplex,
 )
+from looptomo.probe_states import poisson_row
+from looptomo.tomography import _fw_gap, _objective
 
 # derandomized and without an example database, so every run checks the
 # same examples
@@ -55,6 +57,50 @@ def test_pmf_matches_enumeration(p):
     assert pmf.shape == (len(p) + 1,)
     expected = [poisson_binomial_bruteforce(p, n) for n in range(len(p) + 1)]
     np.testing.assert_allclose(pmf, expected, rtol=0, atol=1e-10)
+
+
+@PROPERTY
+@given(
+    means=st.lists(st.integers(0, 80).map(lambda k: k / 10), min_size=1, max_size=6),
+    n_out=st.integers(1, 5),
+    epsilon=st.floats(0.0, 1.0),
+    data=st.data(),
+)
+def test_fw_gap_bounds_objective_decrease(means, n_out, epsilon, data):
+    f_mat = np.vstack([poisson_row(m, 11) for m in means])
+
+    def draw(shape):
+        return data.draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+
+    def objective(t):
+        return _objective(f_mat, p_mat, t, epsilon)[0]
+
+    theta = project_rows_to_simplex(draw((12, n_out)))
+    p_mat = draw((len(means), n_out))
+    gap = _fw_gap(f_mat, p_mat, theta, epsilon)
+    assert gap >= 0.0
+    # weak duality: a step from theta towards random simplex vertices lies
+    # at most the gap below it
+    vertices = np.eye(n_out)[data.draw(arrays(np.int64, 12,
+                                              elements=st.integers(0, n_out - 1)))]
+    step = data.draw(st.floats(1e-6, 1.0))
+    other = (1.0 - step) * theta + step * vertices
+    assert objective(theta) - objective(other) <= gap + 1e-12
+    if np.linalg.norm(p_mat - f_mat @ theta) > 1e-3:
+        # away from r = 0 the objective is smooth, and the gap is the sum
+        # over rows of the steepest slope from theta_i towards a vertex;
+        # central differences give each slope without the gradient formula
+        h = 1e-6
+        fd_gap = 0.0
+        for i in range(12):
+            slopes = []
+            for n in range(n_out):
+                direction = np.zeros_like(theta)
+                direction[i] = np.eye(n_out)[n] - theta[i]
+                slopes.append((objective(theta + h * direction)
+                               - objective(theta - h * direction)) / (2 * h))
+            fd_gap -= min(slopes)
+        assert gap == pytest.approx(fd_gap, rel=1e-6, abs=1e-7)
 
 
 # -- artifact CSVs -------------------------------------------------------------

@@ -349,6 +349,26 @@ class TestReferenceAgreement:
         _, obj_ref = reconstruct_reference(f_mat, p_mat, eps, gap_tol=1e-11)
         assert abs(report.objective - obj_ref) / obj_ref < 1e-6
 
+    @pytest.mark.parametrize("noise_pulses", [None, 450_000])
+    def test_gap_bounds_excess_over_reference(self, noise_pulses):
+        f_mat, p_mat, _, _ = small_problem(noise_pulses=noise_pulses, seed=1)
+        for eps in DEFAULT_SWEEP:
+            _, report = reconstruct(f_mat, p_mat, SmoothingConfig(epsilon=eps))
+            _, obj_ref = reconstruct_reference(f_mat, p_mat, eps, gap_tol=1e-11)
+            assert report.objective - obj_ref <= report.gap + 1e-12
+            if noise_pulses:
+                # away from r = 0 the gap is tight at a polished optimum
+                assert report.gap <= 1e-8
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-4, 0.1])
+    def test_gap_vanishes_at_zero_residual(self, eps):
+        # uniform rows fit P = F theta exactly and have no smoothness cost
+        f_mat, _, _, _ = small_problem()
+        uniform = np.full((f_mat.shape[1], 4), 0.25)
+        _, report = reconstruct(f_mat, f_mat @ uniform, SmoothingConfig(epsilon=eps))
+        assert report.residual == 0.0
+        assert report.gap <= 1e-15
+
     def test_reference_refuses_large_problems(self):
         with pytest.raises(ConfigError):
             reconstruct_reference(np.ones((2, 3000)), np.ones((2, 4)) / 4, 1e-3)
