@@ -171,12 +171,14 @@ def _cmd_reconstruct(args) -> int:
         sweep_values = [float(x) for x in args.epsilon_sweep.split(",") if x.strip()]
     epsilon = args.epsilon
     out = Path(args.out)
+    solved = None
     if sweep_values or epsilon is None:
         sweep = tomography.epsilon_sweep(
             probe_matrix,
             matrix,
             sweep_values or DEFAULT_SWEEP,
             max_iterations=args.max_iterations,
+            support_threshold=args.support_threshold,
         )
         if epsilon is None:
             epsilon = sweep.corner_epsilon
@@ -185,13 +187,18 @@ def _cmd_reconstruct(args) -> int:
         print(f"L-curve written to {curve_path}; corner epsilon {epsilon:g}")
         for w in sweep.warnings:
             print(f"warning: {w}")
+        # the sweep already solved at every swept epsilon with these settings
+        solved = next((p for p in sweep.points if p.epsilon == epsilon), None)
 
     cfg = tomography.SmoothingConfig(
         epsilon=epsilon, max_iterations=args.max_iterations
     )
-    povm, report = tomography.reconstruct(
-        probe_matrix, matrix, cfg, support_threshold=args.support_threshold
-    )
+    if solved is not None:
+        povm, report = solved.povm, solved.report
+    else:
+        povm, report = tomography.reconstruct(
+            probe_matrix, matrix, cfg, support_threshold=args.support_threshold
+        )
     fileio.save_povm_csv(povm, out)
     fileio.save_report(report, out.with_suffix(".report.json"))
     if args.mc_band > 0:

@@ -13,8 +13,9 @@ never as a dense (M+1)^2 matrix.
 Solver: an operator-splitting (ADMM) phase with exact subproblem solves
 (tridiagonal LDL^T factorization of the smoothing block plus a low-rank
 Woodbury probe update, two probe-by-Fock products per iteration) handles
-any scale; on small problems an active-set Newton polish, wrapped in a
-majorize-minimize loop for the unsquared norm, pushes the iterate to
+any scale. On small problems ADMM runs only a short warm-up
+(_POLISH_WARMUP iterations); an active-set Newton polish, wrapped in a
+majorize-minimize loop for the unsquared norm, then pushes the iterate to
 machine-precision optimality. The polish QP's Hessian is block-diagonal
 by outcome column, so each step factors one Fock-sized block per column
 and solves a Fock-sized Schur system for the row-sum multipliers.
@@ -40,6 +41,7 @@ DEFAULT_SUPPORT_THRESHOLD = 1e-3
 RESIDUAL_FLOOR = 1e-12
 
 _POLISH_MAX_ENTRIES = 2048
+_POLISH_WARMUP = 200  # ADMM iterations before the polish takes over
 _POLISH_TOL = 1e-8  # active-set multiplier tolerance, relative to the gradient
 _REFINE_STEPS = 5  # cap on iterative-refinement steps per polish solve
 _ADMM_TOL = 1e-7  # scaled primal and dual residuals that stop ADMM
@@ -474,7 +476,9 @@ def reconstruct(
         raise DataError("probe and outcome matrices must be finite")
     t_start = time.perf_counter()
     can_polish = (F.shape[1] * P.shape[1]) <= _POLISH_MAX_ENTRIES
-    admm_cap = min(cfg.max_iterations, 2000) if can_polish else cfg.max_iterations
+    admm_cap = (
+        min(cfg.max_iterations, _POLISH_WARMUP) if can_polish else cfg.max_iterations
+    )
     admm = _admm_phase(F, P, cfg.epsilon, admm_cap)
     theta, trace = admm.theta, admm.trace
     polished = False
@@ -568,6 +572,10 @@ class SweepPoint:
     residual: float
     smoothness: float
     objective: float
+    #: the solve behind this point, as reconstruct() returned it
+    povm: POVMSet | None = field(default=None, repr=False, compare=False)
+    report: ReconstructionReport | None = field(default=None, repr=False,
+                                                compare=False)
 
 
 @dataclass(frozen=True)
@@ -601,13 +609,18 @@ def l_curve_corner(points) -> float:
 
 
 def epsilon_sweep(
-    probe_matrix, outcomes, epsilons, max_iterations: int = 20000
+    probe_matrix,
+    outcomes,
+    epsilons,
+    max_iterations: int = 20000,
+    support_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
 ) -> SweepResult:
     """Reconstruct at each smoothing weight; collect the L-curve.
 
-    The residual should be nondecreasing and the smoothness seminorm
-    nonincreasing in epsilon; violations (beyond _SWEEP_SLACK) and
-    solves that stop unconverged are reported as warnings, not errors.
+    Each point keeps its solve (POVM and report). The residual should be
+    nondecreasing and the smoothness seminorm nonincreasing in epsilon;
+    violations (beyond _SWEEP_SLACK) and solves that stop unconverged are
+    reported as warnings, not errors.
     """
     eps_list = sorted(float(e) for e in epsilons)
     if not eps_list:
@@ -616,10 +629,9 @@ def epsilon_sweep(
     warnings_list = []
     for eps in eps_list:
         cfg = SmoothingConfig(epsilon=eps, max_iterations=max_iterations)
-        _, report = reconstruct(probe_matrix, outcomes, cfg)
-        points.append(
-            SweepPoint(eps, report.residual, report.smoothness, report.objective)
-        )
+        povm, report = reconstruct(probe_matrix, outcomes, cfg, support_threshold)
+        points.append(SweepPoint(eps, report.residual, report.smoothness,
+                                 report.objective, povm, report))
         if not report.converged:
             warnings_list.append(
                 f"solve at eps={eps:g} did not converge in "

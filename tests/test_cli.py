@@ -13,8 +13,9 @@ from looptomo import (
     UncertaintyBand,
     coherent_outcome_distribution,
     fileio,
+    tomography,
 )
-from looptomo.cli import main
+from looptomo.cli import DEFAULT_SWEEP, main
 
 PARAMS = LoopParams(0.89613, 0.9064, 0.4912, 10)
 
@@ -240,6 +241,31 @@ class TestPipeline:
         curve = povm_path.with_suffix(".lcurve.csv").read_text().splitlines()
         assert curve[0] == "epsilon,residual,smoothness,objective"
         assert len(curve) == 4
+
+    def test_default_sweep_reuses_the_corner_solve(self, workspace, monkeypatch):
+        # the corner is one of the swept epsilons, solved with the same
+        # settings, so the sweep's solve is written instead of a repeat
+        ws, _, ensemble_path = workspace
+        data = _simulate(workspace, pulses=50_000, out="cornerdata")
+        calls = []
+        real = tomography.reconstruct
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].epsilon)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tomography, "reconstruct", counted)
+        # a non-default threshold, so the sweep must pass it on too
+        common = ["reconstruct", "--manifest", str(data / "manifest.json"),
+                  "--ensemble", str(ensemble_path), "--support-threshold", "0.5"]
+        swept = ws / "swept_povm.csv"
+        assert main([*common, "--out", str(swept)]) == 0
+        assert sorted(calls) == sorted(DEFAULT_SWEEP)
+        corner = json.loads(swept.with_suffix(".report.json").read_text())["epsilon"]
+        direct = ws / "direct_povm.csv"
+        assert main([*common, "--epsilon", repr(corner), "--out", str(direct)]) == 0
+        assert calls[-1] == corner and len(calls) == len(DEFAULT_SWEEP) + 1
+        assert swept.read_bytes() == direct.read_bytes()
 
     def test_unconverged_band_draws_are_printed(self, workspace, capsys):
         # 201 x 11 unknowns is above the polish limit, so 20 ADMM

@@ -13,6 +13,7 @@ from looptomo import (
     DataError,
     OutcomeMatrix,
     POVMSet,
+    TimeTagHistogram,
     UncertaintyBand,
     fileio,
     poisson_binomial_bruteforce,
@@ -20,7 +21,8 @@ from looptomo import (
     project_rows_to_simplex,
 )
 from looptomo.probe_states import poisson_row
-from looptomo.tomography import _fw_gap, _objective
+from looptomo.tomography import _active_set_qp, _fw_gap, _objective
+from test_tomography import dense_kkt_qp, random_qp
 
 # derandomized and without an example database, so every run checks the
 # same examples
@@ -103,6 +105,51 @@ def test_fw_gap_bounds_objective_decrease(means, n_out, epsilon, data):
         assert gap == pytest.approx(fd_gap, rel=1e-6, abs=1e-7)
 
 
+def _polish_qp(seed, m1, n_out):
+    """A QP shaped like the polish's: Q = F^T F / s + 2 eps D^T D for 15
+    Poisson probes, b = F^T P / s for data P near F theta. Small s and eps
+    put the outcome blocks near condition 1e15; eps = 0 is drawn only with
+    fewer Fock rows than probes, where F^T F alone is near it too."""
+    rng = np.random.default_rng(seed)
+    f_mat = np.vstack([poisson_row(m, m1 - 1)
+                       for m in np.linspace(0.0, rng.uniform(2.0, 25.0), 15)])
+    s = 10 ** rng.uniform(-4, -2)
+    eps = 0.0 if m1 <= 11 and rng.uniform() < 0.5 else 10 ** rng.uniform(-9, -5)
+    d = np.diff(np.eye(m1), axis=0)
+    p_mat = (f_mat @ rng.dirichlet(np.ones(n_out), size=m1)
+             + rng.normal(scale=1e-3, size=(15, n_out)))
+    _, _, x0 = random_qp(seed, m1, n_out)
+    return f_mat.T @ f_mat / s + 2 * eps * d.T @ d, f_mat.T @ p_mat / s, x0
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), m1=st.integers(1, 61),
+       n_out=st.integers(1, 11), polish_shaped=st.booleans())
+def test_active_set_qp_matches_dense_kkt(seed, m1, n_out, polish_shaped):
+    q_mat, b, x0 = (_polish_qp if polish_shaped else random_qp)(seed, m1, n_out)
+    x_new, ok_new = _active_set_qp(q_mat, b.ravel(), x0, 400, 1e-8)
+    x_ref, ok_ref = dense_kkt_qp(q_mat, b.ravel(), x0, 400, 1e-8)
+    assert ok_new == ok_ref
+    if not ok_ref:
+        # an unfinished solve stops wherever its pivot path reached
+        return
+    # refinement stops once the KKT residual is within the tolerance, so
+    # that bounds the row sums, not rounding: at m1 = 42 and N = 1 they are
+    # off by 1.8e-13, near condition 1e14 by 4.5e-9
+    np.testing.assert_allclose(x_new.sum(axis=1), 1.0, rtol=0, atol=1e-8)
+    if not polish_shaped:
+        np.testing.assert_allclose(x_new, x_ref, rtol=0, atol=1e-10)
+        return
+
+    def qp_objective(x):
+        return 0.5 * np.sum(x * (q_mat @ x)) - b.ravel() @ x.ravel()
+
+    # near condition 1e15 the data fix x only to ~cond * 1e-16, but they fix
+    # the optimal value
+    ref = qp_objective(x_ref)
+    assert qp_objective(x_new) <= ref + 1e-10 * abs(ref)
+
+
 # -- artifact CSVs -------------------------------------------------------------
 
 _shapes = st.tuples(st.integers(1, 6), st.integers(1, 5))
@@ -162,6 +209,27 @@ def test_band_csv_round_trip_is_exact(tmp_path_factory, lo, data):
     first, back, second = _rewrite(tmp_path_factory, save, fileio.load_band, (lo, hi))
     assert first == second
     assert np.array_equal(back[0], lo) and np.array_equal(back[1], hi)
+
+
+_histograms = st.builds(
+    TimeTagHistogram,
+    arrays(np.int64, st.integers(1, 20), elements=st.integers(0, 2**63 - 1)),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@pytest.mark.parametrize("save, load", [
+    (fileio.save_histogram_csv, fileio.load_histogram_csv),
+    (fileio.save_histogram_json, fileio.load_histogram_json),
+])
+@PROPERTY
+@given(hist=_histograms)
+def test_histogram_round_trip_is_exact(tmp_path_factory, save, load, hist):
+    first, back, second = _rewrite(tmp_path_factory, save, load, hist)
+    assert first == second
+    assert np.array_equal(back.counts, hist.counts)
+    assert (back.bin_width_ps, back.t0_ps) == (hist.bin_width_ps, hist.t0_ps)
 
 
 _cell = st.one_of(

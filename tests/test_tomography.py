@@ -360,6 +360,19 @@ class TestReferenceAgreement:
                 # away from r = 0 the gap is tight at a polished optimum
                 assert report.gap <= 1e-8
 
+    def test_benchmark_shape_agrees_with_reference(self):
+        # lcurve_small's shape: 15 probes on [0, 25], truncation 60, 10 bins
+        # (11 outcomes) and 450k-pulse multinomial noise
+        f_mat, p_mat, _, _ = small_problem(noise_pulses=450_000, seed=1, n_bins=10)
+        assert p_mat.shape == (15, 11)
+        for eps in DEFAULT_SWEEP:
+            _, report = reconstruct(f_mat, p_mat, SmoothingConfig(epsilon=eps))
+            _, obj_ref = reconstruct_reference(f_mat, p_mat, eps)
+            assert report.objective - obj_ref <= report.gap + 1e-12
+            # the benchmark's own bound
+            assert abs(report.objective - obj_ref) <= 1e-6 * obj_ref
+            assert report.iterations == tomography._POLISH_WARMUP
+
     @pytest.mark.parametrize("eps", [0.0, 1e-4, 0.1])
     def test_gap_vanishes_at_zero_residual(self, eps):
         # uniform rows fit P = F theta exactly and have no smoothness cost
