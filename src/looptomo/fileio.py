@@ -149,10 +149,29 @@ def load_ensemble(path) -> ProbeEnsemble:
 
 # -- histograms ---------------------------------------------------------------
 
+def _count_blocks(counts: np.ndarray):
+    """One count per line, as text blocks of at most _BLOCK_LINES lines.
+
+    Zero runs are written as repeated "0\\n"; the counts between them are
+    formatted one by one.
+    """
+    zero = np.concatenate([[False], counts == 0, [False]])
+    runs = np.flatnonzero(zero[1:] != zero[:-1]).reshape(-1, 2)  # [start, end)
+    pos = 0
+    for start, end in [*runs.tolist(), (counts.size, counts.size)]:
+        for i in range(pos, start, _BLOCK_LINES):
+            block = counts[i:min(i + _BLOCK_LINES, start)].tolist()
+            yield "\n".join(map(str, block)) + "\n"
+        for i in range(start, end, _BLOCK_LINES):
+            yield "0\n" * (min(i + _BLOCK_LINES, end) - i)
+        pos = end
+
+
 def save_histogram_csv(hist: TimeTagHistogram, path) -> None:
     values = f"{_FLOAT_FMT % hist.bin_width_ps},{_FLOAT_FMT % hist.t0_ps}"
-    counts = map(str, hist.counts.tolist())
-    _write_csv(path, "bin_width_ps,t0_ps", itertools.chain([values], counts))
+    with open(path, "w") as fh:
+        fh.write(f"bin_width_ps,t0_ps\n{values}\n")
+        fh.writelines(_count_blocks(hist.counts))
 
 
 def load_histogram_csv(path) -> TimeTagHistogram:

@@ -13,12 +13,15 @@ never as a dense (M+1)^2 matrix.
 Solver: an operator-splitting (ADMM) phase with exact subproblem solves
 (tridiagonal LDL^T factorization of the smoothing block plus a low-rank
 Woodbury probe update, two probe-by-Fock products per iteration) handles
-any scale. On small problems ADMM runs only a short warm-up
-(_POLISH_WARMUP iterations); an active-set Newton polish, wrapped in a
-majorize-minimize loop for the unsquared norm, then pushes the iterate to
-machine-precision optimality. The polish QP's Hessian is block-diagonal
-by outcome column, so each step factors one Fock-sized block per column
-and solves a Fock-sized Schur system for the row-sum multipliers.
+any scale. Its Fock-sized iterates are stored outcome-major (Fortran
+order), so the tridiagonal solve, both products and the sort-free simplex
+projection run over contiguous outcome columns. On small problems ADMM
+runs only a short warm-up (_POLISH_WARMUP iterations); an active-set
+Newton polish, wrapped in a majorize-minimize loop for the unsquared norm,
+then pushes the iterate to machine-precision optimality. The polish QP's
+Hessian is block-diagonal by outcome column, so each step factors one
+Fock-sized block per column and solves a Fock-sized Schur system for the
+row-sum multipliers.
 """
 
 from __future__ import annotations
@@ -90,15 +93,32 @@ class ReconstructionReport:
 def project_rows_to_simplex(y: np.ndarray) -> np.ndarray:
     """Euclidean projection of every row onto {x >= 0, sum x = 1}.
 
-    Sort-based algorithm, O(N log N) per row, vectorized over rows.
+    Sort-free active-set algorithm (Michelot, J. Optim. Theory Appl. 50,
+    1986; Condat, Math. Program. 158, 2016), vectorized over rows. Each
+    row is first shifted by its maximum, so every entry is <= 0. Each pass
+    then sets tau = (sum of the active entries - 1) / (their count) and
+    drops the entries at or below tau; tau only grows, so the active set
+    only shrinks and is stable after at most N passes. A sum of entries
+    <= 0 stays <= 0 in floating point, so tau <= -1/N < 0 at any scale:
+    the row maximum (now 0) is never dropped and no active set empties.
+    The reductions run over y.T, whose columns are contiguous for the
+    Fortran-ordered iterates of _admm_phase; the output keeps y's layout.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    u = np.sort(y, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    ks = np.arange(1, y.shape[1] + 1)
-    k = ((u - css / ks) > 0).sum(axis=1)
-    tau = css[np.arange(y.shape[0]), k - 1] / k
-    return np.maximum(y - tau[:, None], 0.0)
+    y_t = np.atleast_2d(np.asarray(y, dtype=float)).T
+    n = y_t.shape[0]
+    s = y_t - y_t.max(axis=0)
+    tau = (s.sum(axis=0) - 1.0) / n
+    active = s > tau
+    count = active.sum(axis=0, dtype=np.int32)  # int32 sums bools fastest
+    for _ in range(n):
+        tau = (np.add.reduce(s, axis=0, where=active) - 1.0) / count
+        active &= s > tau
+        new_count = active.sum(axis=0, dtype=np.int32)
+        if (new_count == count).all():
+            break
+        count = new_count
+    s -= tau
+    return np.maximum(s, 0.0, out=s).T
 
 
 def smoothness_seminorm(theta: np.ndarray) -> float:
@@ -150,7 +170,10 @@ class _ThetaSolver:
 
         theta = (K^-1 F^T) g + rho c,    F theta = G g + rho F c,
 
-    so an update costs two products of probe-by-Fock size.
+    so an update costs two products of probe-by-Fock size. Both run on
+    transposed views, c^T F^T and g^T (K^-1 F^T)^T, so that with v
+    Fortran-ordered (outcome columns contiguous) the Fock-sized operands
+    and theta are all outcome-major and neither F nor K^-1 F^T is copied.
     """
 
     def __init__(self, F: np.ndarray, epsilon: float, rho: float):
@@ -165,6 +188,7 @@ class _ThetaSolver:
         if info:
             raise np.linalg.LinAlgError(f"smoothing block not positive (info {info})")
         self._rho = rho
+        # Fortran-ordered (m1, D) as dpttrs returns it: its .T is a C view
         self._k_inv_ft = self._k_solve(F.T)
         self._k_inv_ft[np.abs(self._k_inv_ft) < _TINY] = 0.0
         self._gram = F @ self._k_inv_ft
@@ -176,13 +200,18 @@ class _ThetaSolver:
         return dpttrs(self._d, self._e, b)[0]
 
     def update(self, F: np.ndarray, a: np.ndarray, v: np.ndarray):
-        """(theta, F theta) for the right-hand side rho F^T a + rho v."""
+        """(theta, F theta) for the right-hand side rho F^T a + rho v.
+
+        theta comes back Fortran-ordered (m1, N).
+        """
         rho = self._rho
-        c = self._k_solve(v)
-        f_c = F @ c
+        c = self._k_solve(v)  # Fortran-ordered (m1, N)
+        f_c = (c.T @ F.T).T
         # inputs are finite (checked in reconstruct), so call LAPACK directly
         g = rho * a - dpotrs(self._w_chol, rho * (self._gram @ a + f_c))[0]
-        return self._k_inv_ft @ g + rho * c, self._gram @ g + rho * f_c
+        theta = (g.T @ self._k_inv_ft.T).T
+        theta += rho * c
+        return theta, self._gram @ g + rho * f_c
 
 
 class _AdmmResult(NamedTuple):
@@ -196,12 +225,16 @@ class _AdmmResult(NamedTuple):
 
 
 def _admm_phase(F, P, epsilon, max_iter: int) -> _AdmmResult:
-    """Splitting phase: theta-update, residual-norm prox, simplex projection."""
+    """Splitting phase: theta-update, residual-norm prox, simplex projection.
+
+    The Fock-sized iterates (theta, z, u2) are Fortran-ordered, so each
+    outcome column is contiguous for the theta-update and the projection.
+    """
     n_probes, m1 = F.shape
     n_out = P.shape[1]
     rho = 1.0
-    theta = np.full((m1, n_out), 1.0 / n_out)
-    z = theta.copy()
+    theta = np.full((m1, n_out), 1.0 / n_out, order="F")
+    z = theta.copy(order="F")
     r_block = P - F @ theta
     u1 = np.zeros_like(P)
     u2 = np.zeros_like(theta)
@@ -508,6 +541,11 @@ def reconstruct(
     return POVMSet(theta, supported), report
 
 
+def _unconverged(report: ReconstructionReport) -> str:
+    return (f"did not converge in {report.iterations} iterations "
+            f"(gap {report.gap:.1e})")
+
+
 def dark_count_probability(povm: POVMSet) -> float:
     """Probability of any click on vacuum input: 1 - theta[0, 0]."""
     return float(1.0 - povm.theta[0, 0])
@@ -521,6 +559,10 @@ class UncertaintyBand:
     amplitude_rel_err: float
     #: one entry per draw whose solve stopped unconverged
     warnings: tuple[str, ...] = ()
+    #: one report per draw, in draw order, as reconstruct() returned it
+    reports: tuple[ReconstructionReport, ...] = field(
+        default=(), repr=False, compare=False, kw_only=True
+    )
 
 
 def uncertainty_band(
@@ -536,8 +578,8 @@ def uncertainty_band(
     Each draw scales every probe amplitude by an independent (1 + delta),
     delta uniform within +-amplitude_rel_err, i.e. scales the mean photon
     number by (1 + delta)^2, rebuilds F and reconstructs. The band is the
-    min/max envelope of the draws. Draws whose solve stops unconverged are
-    reported as warnings.
+    min/max envelope of the draws. Every draw keeps its report; draws whose
+    solve stops unconverged are also reported as warnings.
     """
     if n_mc < 2:
         raise ConfigError(f"n_mc must be >= 2, got {n_mc}")
@@ -547,22 +589,20 @@ def uncertainty_band(
     trunc = probe_matrix.truncation_dim
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     samples = []
-    warnings_list = []
-    for draw in range(n_mc):
+    reports = []
+    for _ in range(n_mc):
         delta = rng.uniform(-amplitude_rel_err, amplitude_rel_err, size=means.size)
         scaled = means * (1.0 + delta) ** 2
         f_mc = np.vstack([poisson_row(m, trunc) for m in scaled])
         povm, report = reconstruct(f_mc, outcomes, cfg)
         samples.append(povm.theta)
-        if not report.converged:
-            warnings_list.append(
-                f"band draw {draw} did not converge in "
-                f"{report.iterations} iterations"
-            )
+        reports.append(report)
+    warnings = tuple(f"band draw {draw} {_unconverged(report)}"
+                     for draw, report in enumerate(reports) if not report.converged)
     stack = np.stack(samples)
     return UncertaintyBand(
         stack.min(axis=0), stack.max(axis=0), n_mc, amplitude_rel_err,
-        tuple(warnings_list),
+        warnings, reports=tuple(reports),
     )
 
 
@@ -633,10 +673,7 @@ def epsilon_sweep(
         points.append(SweepPoint(eps, report.residual, report.smoothness,
                                  report.objective, povm, report))
         if not report.converged:
-            warnings_list.append(
-                f"solve at eps={eps:g} did not converge in "
-                f"{report.iterations} iterations"
-            )
+            warnings_list.append(f"solve at eps={eps:g} {_unconverged(report)}")
     for prev, cur in zip(points, points[1:]):
         if cur.residual < prev.residual - _SWEEP_SLACK:
             warnings_list.append(

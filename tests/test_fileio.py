@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from looptomo import (
     POVMSet,
     ProbeEnsemble,
     SmoothingConfig,
+    TimeTagHistogram,
     build_model_povm,
     coherent_outcome_distribution,
     estimate_mean_photon,
@@ -65,6 +67,16 @@ class TestEnsembleRoundTrip:
         assert len(ens) == 2
 
 
+def _line_by_line_histogram_csv(hist, path):
+    """The histogram writer that formatted every count through str."""
+    values = f"{'%.17g' % hist.bin_width_ps},{'%.17g' % hist.t0_ps}"
+    lines = itertools.chain([values], map(str, hist.counts.tolist()))
+    with open(path, "w") as fh:
+        fh.write("bin_width_ps,t0_ps\n")
+        while block := list(itertools.islice(lines, 4096)):
+            fh.write("\n".join(block) + "\n")
+
+
 class TestHistogramRoundTrip:
     def test_csv_round_trip(self, tmp_path):
         cfg = BinningConfig(n_detector_bins=10)
@@ -91,6 +103,50 @@ class TestHistogramRoundTrip:
         fileio.save_histogram_csv(hist, a)
         fileio.save_histogram_csv(hist, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("block_lines", [2, 4096])
+    @pytest.mark.parametrize("case", [
+        "sparse", "dense", "all_zero", "single_zero", "single_count",
+        "leading_and_trailing", "short_zero_runs", "runs_around_block_size",
+    ])
+    def test_csv_bytes_match_line_by_line_writer(
+        self, tmp_path, monkeypatch, block_lines, case
+    ):
+        monkeypatch.setattr(fileio, "_BLOCK_LINES", block_lines)
+        rng = np.random.default_rng(3)
+        run = 64
+        if case == "sparse":  # a simulated histogram: 10 counts in 140,601 bins
+            counts = np.zeros(140_601, dtype=np.int64)
+            counts[rng.choice(counts.size, 10, replace=False)] = rng.integers(
+                1, 10**6, 10)
+        elif case == "dense":
+            counts = rng.integers(1, 2**62, 10_000)
+        elif case == "all_zero":
+            counts = np.zeros(10_000, dtype=np.int64)
+        elif case == "single_zero":
+            counts = np.zeros(1, dtype=np.int64)
+        elif case == "single_count":
+            counts = np.array([7])
+        elif case == "leading_and_trailing":
+            counts = np.concatenate([[5], np.zeros(3 * run), [3, 0, 9],
+                                     np.zeros(run), [1]])
+        elif case == "short_zero_runs":
+            counts = np.tile([0, 4, 0, 0, 12], 2000)
+        else:  # zero runs one shorter than, equal to and one longer than a block
+            counts = np.concatenate([[1], np.zeros(block_lines - 1), [2],
+                                     np.zeros(block_lines), [3],
+                                     np.zeros(block_lines + 1)])
+        hist = TimeTagHistogram(counts.astype(np.int64), 12.5, 1000.0 / 3)
+        fileio.save_histogram_csv(hist, tmp_path / "new.csv")
+        _line_by_line_histogram_csv(hist, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_zero_runs_are_repeated_in_bounded_blocks(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK_LINES", 100)
+        counts = np.concatenate([np.zeros(64), [5, 0, 2, 7], np.zeros(250)])
+        blocks = list(fileio._count_blocks(counts.astype(np.int64)))
+        assert blocks == ["0\n" * 64, "5\n", "0\n", "2\n7\n", "0\n" * 100,
+                          "0\n" * 100, "0\n" * 50]
 
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "x.csv"

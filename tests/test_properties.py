@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from looptomo import (
+    BinningConfig,
     ConfigError,
     DataError,
     OutcomeMatrix,
@@ -16,13 +17,15 @@ from looptomo import (
     TimeTagHistogram,
     UncertaintyBand,
     fileio,
+    histogram_from_bin_counts,
+    integrate_histogram,
     poisson_binomial_bruteforce,
     poisson_binomial_pmf,
     project_rows_to_simplex,
 )
-from looptomo.probe_states import poisson_row
+from looptomo.probe_states import poisson_pmf, poisson_row, poisson_window
 from looptomo.tomography import _active_set_qp, _fw_gap, _objective
-from test_tomography import dense_kkt_qp, random_qp
+from test_tomography import dense_kkt_qp, random_qp, sort_projection
 
 # derandomized and without an example database, so every run checks the
 # same examples
@@ -50,6 +53,51 @@ def test_simplex_projection_is_feasible(y):
 def test_simplex_projection_is_idempotent(y):
     x = project_rows_to_simplex(y)
     np.testing.assert_allclose(project_rows_to_simplex(x), x, atol=1e-12)
+
+
+# ties come from the sampled values; +-1e6 entries put tau far from the data
+_projection_inputs = st.tuples(st.integers(1, 6), st.integers(1, 60)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.one_of(
+        st.floats(-1e6, 1e6),
+        st.sampled_from([0.0, 1.0, -1.0, 0.5, 1 / 3, 1e6, -1e6]),
+    ))
+)
+
+
+@PROPERTY
+@given(y=_projection_inputs, on_simplex=st.booleans(), fortran=st.booleans())
+def test_simplex_projection_matches_sort_based(y, on_simplex, fortran):
+    if on_simplex:
+        y = sort_projection(y)
+    if fortran:
+        y = np.asfortranarray(y)
+    x = project_rows_to_simplex(y)
+    assert x.shape == y.shape and x.flags.f_contiguous == y.flags.f_contiguous
+    # both take tau from sums of the same entries, added in different orders
+    scale = np.maximum(1.0, np.abs(y).sum(axis=1, keepdims=True))
+    assert np.all(np.abs(x - sort_projection(y)) <= 1e-14 * scale)
+
+
+# entries of 1e15-1e17, where 1/N falls below the rounding of a row's sum
+_large_projection_inputs = st.tuples(st.integers(1, 6), st.integers(1, 60)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.one_of(
+        st.floats(1e15, 1e17),
+        st.floats(-1e17, -1e15),
+        st.sampled_from([0.0, 1e16, -1e16, 1e17]),
+    ))
+)
+
+
+@PROPERTY
+@given(y=_large_projection_inputs)
+def test_simplex_projection_stays_on_simplex_at_large_scale(y):
+    x = project_rows_to_simplex(y)
+    assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+    np.testing.assert_allclose(x.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+    # a common shift of a row leaves its projection unchanged, and the
+    # sort-based projection sums only entries near 0 once the maximum is 0
+    shifted = y - y.max(axis=1, keepdims=True)
+    np.testing.assert_allclose(x, sort_projection(shifted), rtol=0, atol=1e-13)
 
 
 @PROPERTY
@@ -258,3 +306,38 @@ def test_csv_readers_fail_only_by_contract(tmp_path_factory, reader, header, bod
         reader(path)
     except (ConfigError, DataError):
         pass
+
+
+# -- ingest and probe rows -----------------------------------------------------
+
+@PROPERTY
+@given(
+    n_bins=st.integers(1, 12),
+    period_ns=st.floats(3.0, 200.0),
+    window_ns=st.floats(1.0, 2.5),
+    raw_width_ps=st.floats(10.0, 900.0),
+    data=st.data(),
+)
+def test_integration_recovers_synthesized_window_totals(
+    n_bins, period_ns, window_ns, raw_width_ps, data
+):
+    cfg = BinningConfig(n_bins, window_width_ns=window_ns, bin_period_ns=period_ns)
+    totals = data.draw(arrays(np.int64, n_bins, elements=st.integers(0, 2**53)))
+    hist = histogram_from_bin_counts(totals, cfg, bin_width_ps=raw_width_ps)
+    assert np.array_equal(integrate_histogram(hist, cfg), totals)
+
+
+@PROPERTY
+@given(log_mean=st.floats(-3.0, 5.0))
+def test_poisson_pmf_matches_mpmath(log_mean):
+    mpmath = pytest.importorskip("mpmath")
+    mean = 10.0 ** log_mean
+    lo, hi = poisson_window(mean, 6.0)
+    counts = np.unique(np.linspace(lo, hi, 40).round().astype(np.int64))
+    with mpmath.workdps(40):
+        mu = mpmath.mpf(mean)
+        exact = [float(mpmath.exp(k * mpmath.log(mu) - mu - mpmath.loggamma(k + 1)))
+                 for k in counts.tolist()]
+    # masses below the smallest normal double are flushed to zero
+    np.testing.assert_allclose(poisson_pmf(counts, mean), exact, rtol=1e-12,
+                               atol=np.finfo(float).tiny)

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -192,10 +195,116 @@ class TestThetaUpdate:
         f_mat = np.vstack([poisson_row(m, trunc) for m in means])
         a = rng.normal(size=(f_mat.shape[0], 4))
         v = rng.normal(size=(trunc + 1, 4))
-        theta, f_theta = _ThetaSolver(f_mat, eps, rho).update(f_mat, a, v)
+        solver = _ThetaSolver(f_mat, eps, rho)
         expected = self.dense_update(f_mat, eps, rho, a, v)
-        assert np.abs(theta - expected).max() < 1e-12
-        assert np.abs(f_theta - f_mat @ theta).max() < 1e-12
+        # the ADMM loop passes Fortran-ordered (outcome-major) iterates
+        for order in ("C", "F"):
+            theta, f_theta = solver.update(f_mat, np.asarray(a, order=order),
+                                           np.asarray(v, order=order))
+            assert np.abs(theta - expected).max() < 1e-12
+            assert np.abs(f_theta - f_mat @ theta).max() < 1e-12
+
+
+def sort_projection(y):
+    """The sort-based simplex projection that the active-set one replaced."""
+    u = np.sort(y, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    ks = np.arange(1, y.shape[1] + 1)
+    k = ((u - css / ks) > 0).sum(axis=1)
+    tau = css[np.arange(y.shape[0]), k - 1] / k
+    return np.maximum(y - tau[:, None], 0.0)
+
+
+def c_ordered_admm(F, P, epsilon, max_iter):
+    """The C-ordered, sort-based ADMM loop that the outcome-major one
+    replaced. Returns (best iterate, iterations, rho changes)."""
+    from scipy.linalg.lapack import dpotrf, dpotrs, dpttrf, dpttrs
+
+    def theta_update(rho):
+        m1 = F.shape[1]
+        diag = np.full(m1, rho)
+        diag[[0, -1]] += 2 * epsilon
+        diag[1:-1] += 4 * epsilon
+        d, e, _ = dpttrf(diag, np.full(m1 - 1, -2 * epsilon))
+        k_inv_ft = dpttrs(d, e, F.T)[0]
+        k_inv_ft[np.abs(k_inv_ft) < np.finfo(float).tiny] = 0.0
+        gram = F @ k_inv_ft
+        w_chol = dpotrf(np.eye(F.shape[0]) / rho + gram)[0]
+
+        def update(a, v):
+            c = dpttrs(d, e, v)[0]
+            f_c = F @ c
+            g = rho * a - dpotrs(w_chol, rho * (gram @ a + f_c))[0]
+            return k_inv_ft @ g + rho * c, gram @ g + rho * f_c
+        return update
+
+    def objective(t):
+        return tomography._objective(F, P, t, epsilon)[0]
+
+    alpha = tomography._ADMM_ALPHA
+    m1, n_out = F.shape[1], P.shape[1]
+    rho = 1.0
+    theta = np.full((m1, n_out), 1.0 / n_out)
+    z = theta.copy()
+    r_block = P - F @ theta
+    u1 = np.zeros_like(P)
+    u2 = np.zeros_like(theta)
+    update = theta_update(rho)
+    best, best_obj = z, objective(z)
+    norm_primal = np.sqrt(P.size + theta.size)
+    norm_dual = np.sqrt(theta.size)
+    rho_changes = 0
+    it = 0
+    for it in range(1, max_iter + 1):
+        theta, f_theta = update(P - r_block + u1, z - u2)
+        f_relaxed = alpha * f_theta + (1 - alpha) * (P - r_block)
+        t_relaxed = alpha * theta + (1 - alpha) * z
+        v = P - f_relaxed + u1
+        nv = np.linalg.norm(v)
+        r_block = v * max(0.0, 1.0 - 1.0 / (rho * max(nv, 1e-300)))
+        z_old = z
+        z = sort_projection(t_relaxed + u2)
+        u1 += P - f_relaxed - r_block
+        u2 += t_relaxed - z
+        if it % tomography._ADMM_CHECK_EVERY == 0 or it == max_iter:
+            pr = np.sqrt(np.linalg.norm(P - f_theta - r_block) ** 2
+                         + np.linalg.norm(theta - z) ** 2)
+            dr = rho * np.linalg.norm(z - z_old)
+            obj = objective(z)
+            if obj < best_obj:
+                best, best_obj = z, obj
+            if max(pr / norm_primal, dr / norm_dual) < tomography._ADMM_TOL:
+                break
+            if pr > 10 * dr or dr > 10 * pr:
+                scale = 2.0 if pr > 10 * dr else 0.5
+                rho *= scale
+                u1 /= scale
+                u2 /= scale
+                rho_changes += 1
+                update = theta_update(rho)
+    return best, it, rho_changes
+
+
+class TestAdmmLayout:
+    # scaling P by 1e-3 makes residual balancing halve rho once, and the
+    # stopping test is met before the cap
+    @pytest.mark.parametrize("p_scale, rho_changes", [(1.0, 0), (1e-3, 1)])
+    def test_matches_c_ordered_sort_based_loop(self, p_scale, rho_changes):
+        # 301 x 11 unknowns is above the polish limit: ADMM alone
+        f_mat, p_mat, _, _ = small_problem(
+            noise_pulses=450_000, seed=4, n_bins=10, trunc=300, mu_max=200.0, d=20
+        )
+        p_mat = p_mat * p_scale
+        assert f_mat.shape[1] * p_mat.shape[1] > _POLISH_MAX_ENTRIES
+        result = tomography._admm_phase(f_mat, p_mat, 1e-5, 500)
+        expected, iterations, ref_changes = c_ordered_admm(f_mat, p_mat, 1e-5, 500)
+        assert (result.iterations, result.rho_changes) == (iterations, ref_changes)
+        assert ref_changes == rho_changes
+        obj = tomography._objective(f_mat, p_mat, result.theta, 1e-5)[0]
+        ref = tomography._objective(f_mat, p_mat, expected, 1e-5)[0]
+        assert obj == pytest.approx(ref, rel=1e-10, abs=0)
+        assert result.theta.shape == expected.shape
+        assert result.theta.flags.f_contiguous
 
 
 def dense_kkt_qp(Q, b_flat, x0, max_pivots, tol):
@@ -432,10 +541,32 @@ class TestUncertaintyBand:
         wrapper = ProbeMatrix(f_mat, means, 600)
         cfg = SmoothingConfig(epsilon=1e-4, max_iterations=20)
         band = uncertainty_band(wrapper, p_mat, cfg, n_mc=2, seed=3)
-        assert band.warnings == (
-            "band draw 0 did not converge in 20 iterations",
-            "band draw 1 did not converge in 20 iterations",
+        assert band.warnings == tuple(
+            f"band draw {k} did not converge in 20 iterations "
+            f"(gap {report.gap:.1e})" for k, report in enumerate(band.reports)
         )
+
+    @pytest.mark.parametrize("max_iterations", [1, 1500])
+    def test_every_draw_keeps_its_report(self, max_iterations):
+        # one iteration above the polish limit leaves every draw
+        # unconverged; 1500 with the polish converge every draw
+        trunc = 600 if max_iterations == 1 else 30
+        f_mat, p_mat, _, means = small_problem(trunc=trunc, mu_max=12.0, d=8)
+        wrapper = ProbeMatrix(f_mat, means, trunc)
+        cfg = SmoothingConfig(epsilon=1e-4, max_iterations=max_iterations)
+        band = uncertainty_band(wrapper, p_mat, cfg, n_mc=3, seed=5)
+        assert len(band.reports) == 3
+        assert all(r.iterations <= max_iterations for r in band.reports)
+        unconverged = [k for k, r in enumerate(band.reports) if not r.converged]
+        assert unconverged == ([0, 1, 2] if max_iterations == 1 else [])
+        assert band.warnings == tuple(
+            f"band draw {k} did not converge in {max_iterations} iterations "
+            f"(gap {band.reports[k].gap:.1e})" for k in unconverged
+        )
+        assert all(band.reports[k].gap > 0 for k in unconverged)
+        # the reports stay out of repr and equality
+        assert "reports" not in repr(band)
+        assert band == dataclasses.replace(band, reports=())
 
     def test_band_contains_noiseless_solution(self):
         # five-percent amplitude draws around noiseless data: the envelope
@@ -514,10 +645,23 @@ class TestEpsilonSweep:
         assert f_mat.shape[1] * p_mat.shape[1] > _POLISH_MAX_ENTRIES
         result = epsilon_sweep(f_mat, p_mat, [1e-5, 1e-3], max_iterations=20)
         unconverged = [w for w in result.warnings if "did not converge" in w]
+        gaps = [p.report.gap for p in result.points]
         assert unconverged == [
-            "solve at eps=1e-05 did not converge in 20 iterations",
-            "solve at eps=0.001 did not converge in 20 iterations",
+            f"solve at eps=1e-05 did not converge in 20 iterations (gap {gaps[0]:.1e})",
+            f"solve at eps=0.001 did not converge in 20 iterations (gap {gaps[1]:.1e})",
         ]
+
+    def test_warnings_quote_the_gap(self):
+        f_mat, p_mat, _, _ = small_problem(trunc=600)
+        result = epsilon_sweep(f_mat, p_mat, [1e-5], max_iterations=1)
+        (point,) = result.points
+        assert not point.report.converged and point.report.gap > 0
+        assert result.warnings[0] == (
+            f"solve at eps=1e-05 did not converge in 1 iterations "
+            f"(gap {point.report.gap:.1e})"
+        )
+        assert re.fullmatch(r"solve at eps=1e-05 did not converge in 1 iterations "
+                            r"\(gap \d\.\de[+-]\d\d\)", result.warnings[0])
 
 
 class TestPovmSetValidation:
