@@ -9,7 +9,7 @@ out-coupling reflectivity, the loop round-trip efficiency and the
 detection efficiency.
 
 This module provides the per-bin probabilities, the Poisson binomial
-transform (one discrete-Fourier row engine, with enumeration as its
+transform (one real-recurrence row engine, with enumeration as its
 oracle), the POVMSet container with model POVM construction at arbitrary
 truncation, and a stochastic pulse simulator used as the synthetic data
 source.
@@ -32,6 +32,8 @@ TYPICAL_DARK_PROB = 3e-8
 BRUTEFORCE_MAX_BINS = 20
 
 _SIM_CHUNK = 1 << 20  # pulses per simulator chunk; fixed so seeds reproduce
+# rows per Poisson-binomial pass: its four (bins, block) buffers stay in cache
+_ROW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,7 @@ def poisson_binomial_bruteforce(p, n: int) -> float:
 
     Cost grows as the binomial coefficient, so inputs longer than
     BRUTEFORCE_MAX_BINS are refused. Kept as the independent oracle for
-    poisson_binomial_closed.
+    the recurrence in poisson_binomial_rows.
     """
     p = _validate_probs(p)
     nb = p.size
@@ -213,30 +215,29 @@ def poisson_binomial_bruteforce(p, n: int) -> float:
 def poisson_binomial_rows(pmat) -> np.ndarray:
     """Row-wise Poisson binomial: (rows, nb) probabilities -> (rows, nb+1) pmfs.
 
-    Discrete-Fourier closed form: with C = exp(2 pi i / (nb+1)), a pmf is the
-    inverse transform of z_l = prod_j (1 + (C^l - 1) p_j). z is Hermitian,
-    so only l <= (nb+1)/2 is formed and np.fft.hfft returns a real pmf;
-    sub-1e-15 negative excursions are clamped to 0. One row reduces over
-    bins in one vectorised product (the bright-state search's many small
-    calls); many rows take one in-place pass per bin, which is faster for
-    fit and extrapolation blocks and holds two (rows, nb//2+1) arrays.
+    Real recurrence, one bin at a time: adding bin j with probability p_j
+    maps pmf[k] to (1 - p_j) pmf[k] + p_j pmf[k-1]. Every step is a convex
+    combination of non-negative numbers, so the pmfs stay in [0, 1] without
+    clipping. The passes run in place on outcome-major (nb+1, block)
+    buffers, _ROW_BLOCK rows at a time, and treat every row elementwise, so
+    a row computed in a batch is bit-identical to the same row computed
+    alone.
     """
     pmat = np.asarray(pmat, dtype=float)
     rows, nb = pmat.shape
-    n = nb + 1
-    w = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n) - 1.0
-    if rows == 1:
-        z = np.prod(1.0 + w[:, None] * pmat[0], axis=1)[None, :]
-    else:
-        z = np.ones((rows, w.size), dtype=complex)
-        factor = np.empty_like(z)
+    out = np.empty((rows, nb + 1))
+    for start in range(0, rows, _ROW_BLOCK):
+        p = pmat[start : start + _ROW_BLOCK].T.copy()
+        comp = 1.0 - p
+        shifted = np.empty_like(p)
+        pmf = np.zeros((nb + 1, p.shape[1]))
+        pmf[0] = 1.0
         for j in range(nb):
-            np.multiply(pmat[:, j : j + 1], w, out=factor)
-            factor += 1.0
-            z *= factor
-        del factor  # freed before the transform allocates its own two arrays
-    pmf = np.fft.hfft(z, n=n, axis=1, norm="forward")
-    return np.clip(pmf, 0.0, 1.0, out=pmf)
+            np.multiply(pmf[: j + 1], p[j], out=shifted[: j + 1])
+            pmf[: j + 1] *= comp[j]
+            pmf[1 : j + 2] += shifted[: j + 1]
+        out[start : start + _ROW_BLOCK] = pmf.T
+    return out
 
 
 def poisson_binomial_pmf(p) -> np.ndarray:
@@ -245,7 +246,7 @@ def poisson_binomial_pmf(p) -> np.ndarray:
 
 
 def poisson_binomial_closed(p, n: int) -> float:
-    """Closed-form Poisson binomial probability of n successes."""
+    """Poisson binomial probability of n successes, from the row engine."""
     p = _validate_probs(p)
     if not 0 <= n <= p.size:
         raise ValueError(f"n={n} outside 0..{p.size}")

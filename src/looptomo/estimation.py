@@ -4,13 +4,16 @@ Given a measured outcome distribution and fitted loop parameters, the mean
 photon number is the coherent amplitude whose model outcome distribution
 is closest in Euclidean distance. The model distribution is evaluated
 analytically: per-bin rates 1 - exp(-mu q_j), one row per candidate mean,
-fed through ``detector_model.poisson_binomial_rows``. The explicit product
-of a truncated Poisson row with the extrapolated Fock POVM is kept as a
-cross-check path; its per-bin marginals match the analytic rates exactly,
-while the distributions agree only up to the covariance the independent-bin
-Fock rows ignore (second order in the bin rates). The resulting estimates
-coincide far more tightly because that covariance term is symmetric about
-the residual minimum.
+fed through ``detector_model.poisson_binomial_rows``. The search is a grid
+pre-scan in log(mu) followed by a golden section that runs every data row
+in lockstep, one engine call per step for all rows still searching; the
+point estimate is a batch of one row and the bootstrap a batch of all its
+draws. The explicit product of a truncated Poisson row with the
+extrapolated Fock POVM is kept as a cross-check path; its per-bin marginals
+match the analytic rates exactly, while the distributions agree only up to
+the covariance the independent-bin Fock rows ignore (second order in the
+bin rates). The resulting estimates coincide far more tightly because that
+covariance term is symmetric about the residual minimum.
 """
 
 from __future__ import annotations
@@ -19,21 +22,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .detector_model import (
     LoopParams,
     coherent_bin_probs,
-    coherent_outcome_distribution,
     model_povm_rows,
     per_photon_bin_probs,
-    poisson_binomial_pmf,
     poisson_binomial_rows,
 )
 from .errors import CompetingBasinError, DataError
 from .probe_states import poisson_pmf, poisson_window
 
 DEFAULT_MU_BOUNDS = (1e-3, 1e9)
+
+# golden-section constants, start, update order and stopping test of
+# scipy.optimize.minimize_scalar(method="golden", options=dict(xtol=1e-9))
+_GOLDEN_R = 0.61803399
+_GOLDEN_C = 1.0 - _GOLDEN_R
+_GOLDEN_XTOL = 1e-9
+_GOLDEN_MAX_STEPS = 5000
 
 
 @dataclass(frozen=True)
@@ -50,10 +57,19 @@ class BrightStateEstimate:
     n_bootstrap: int = 0
 
 
-def _distance(log_mu: float, p_obs: np.ndarray, params: LoopParams) -> float:
-    """Euclidean distance from p_obs to the model at mean exp(log_mu)."""
-    model = coherent_outcome_distribution(params, math.exp(log_mu))
-    return float(np.linalg.norm(p_obs - model))
+def _model_rows(log_mu, q) -> np.ndarray:
+    """Model outcome distributions at the means exp(log_mu), one row each."""
+    return poisson_binomial_rows(-np.expm1(-np.exp(log_mu)[:, None] * q[None, :]))
+
+
+def _distances(log_mu, p_rows, q) -> np.ndarray:
+    """Euclidean distance from each row of p_rows to the model at exp(log_mu).
+
+    log_mu has one entry per row of p_rows (or p_rows is one row shared by
+    every entry). Each distance reduces its own contiguous row, so an
+    entry's value does not depend on what else is in the batch.
+    """
+    return np.linalg.norm(p_rows - _model_rows(log_mu, q), axis=1)
 
 
 def crosscheck_fock_path(
@@ -84,50 +100,95 @@ def crosscheck_fock_path(
     return acc
 
 
-def _pre_scan(p_obs, params, mu_bounds, grid_points):
-    """Residuals on a log grid; abort when a second deep basin competes.
+def _pre_scan(p_rows, q, lg) -> np.ndarray:
+    """Residuals of every row of p_rows on the log grid lg, (rows, grid).
 
-    The Euclidean distance between nearly-disjoint distributions carries
-    shallow ripples (the model norm varies as its peak sweeps the outcome
-    axis), so strict unimodality cannot be required; what is diagnosed is a
-    second local minimum whose depth rivals the global one, which signals
-    data incompatible with any single coherent state.
+    Aborts when a second deep basin competes. The Euclidean distance
+    between nearly-disjoint distributions carries shallow ripples (the model
+    norm varies as its peak sweeps the outcome axis), so strict unimodality
+    cannot be required; what is diagnosed is a second local minimum whose
+    depth rivals the global one, which signals data incompatible with any
+    single coherent state.
     """
-    lg = np.linspace(math.log(mu_bounds[0]), math.log(mu_bounds[1]), grid_points)
-    q = per_photon_bin_probs(params)
-    rates = -np.expm1(-np.exp(lg)[:, None] * q[None, :])
-    model = poisson_binomial_rows(rates)
-    res = np.linalg.norm(model - p_obs[None, :], axis=1)
-    k_best = int(np.argmin(res))
-    depth_scale = float(res.max() - res[k_best])
-    if depth_scale > 0:
-        for k in range(1, res.size - 1):
-            if res[k] < res[k - 1] and res[k] < res[k + 1]:
-                near_best = abs(k - k_best) <= 1
-                competitive = res[k] <= res[k_best] + 0.05 * depth_scale
-                if not near_best and competitive:
-                    raise CompetingBasinError(
-                        "residual pre-scan found a second competitive basin; "
-                        "input incompatible with a single coherent state"
-                    )
-    return lg, res
-
-
-def _point_estimate(p_obs, params, mu_bounds, grid_points) -> float:
-    """log of the distance-minimizing mean: grid bracket + golden section."""
-    lg, res = _pre_scan(p_obs, params, mu_bounds, grid_points)
-    k = int(np.argmin(res))
-    if k == 0 or k == res.size - 1:
-        return float(lg[k])
-
-    opt = minimize_scalar(
-        _distance,
-        args=(p_obs, params),
-        bracket=(lg[k - 1], lg[k], lg[k + 1]),
-        method="golden",
-        options=dict(xtol=1e-9),
+    res = np.stack(
+        [np.linalg.norm(p_rows - m, axis=1) for m in _model_rows(lg, q)], axis=1
     )
-    return float(opt.x)
+    k_best = np.argmin(res, axis=1)
+    best = res.min(axis=1, keepdims=True)
+    depth_scale = res.max(axis=1, keepdims=True) - best
+    mid = res[:, 1:-1]
+    local_min = (mid < res[:, :-2]) & (mid < res[:, 2:])
+    far = np.abs(np.arange(1, lg.size - 1)[None, :] - k_best[:, None]) > 1
+    competitive = mid <= best + 0.05 * depth_scale
+    if np.any(local_min & far & competitive & (depth_scale > 0)):
+        raise CompetingBasinError(
+            "residual pre-scan found a second competitive basin; "
+            "input incompatible with a single coherent state"
+        )
+    return res
+
+
+def _golden_lockstep(dist, xa, xb, xc) -> np.ndarray:
+    """Golden-section minima of brackets xa < xb < xc, all rows in lockstep.
+
+    Reproduces scipy's golden section row by row: the same first two points,
+    the same update order and the stopping test
+    |x3 - x0| <= xtol (|x1| + |x2|), after which a row stays frozen.
+    dist(x, idx) returns the distances of rows idx at the points x, so each
+    step is one batched evaluation of the rows still searching.
+    """
+    x0, x3 = xa.copy(), xc.copy()
+    wide_right = np.abs(xc - xb) > np.abs(xb - xa)
+    x1 = np.where(wide_right, xb, xb - _GOLDEN_C * (xb - xa))
+    x2 = np.where(wide_right, xb + _GOLDEN_C * (xc - xb), xb)
+    every = np.arange(xa.size)
+    f1, f2 = dist(x1, every), dist(x2, every)
+    for _ in range(_GOLDEN_MAX_STEPS):
+        idx = np.flatnonzero(
+            ~(np.abs(x3 - x0) <= _GOLDEN_XTOL * (np.abs(x1) + np.abs(x2)))
+        )
+        if idx.size == 0:
+            break
+        a0, a1, a2, a3 = x0[idx], x1[idx], x2[idx], x3[idx]
+        g1, g2 = f1[idx], f2[idx]
+        right = g2 < g1
+        new = np.where(
+            right, _GOLDEN_R * a2 + _GOLDEN_C * a3, _GOLDEN_R * a1 + _GOLDEN_C * a0
+        )
+        f_new = dist(new, idx)
+        x0[idx] = np.where(right, a1, a0)
+        x1[idx] = np.where(right, a2, new)
+        x2[idx] = np.where(right, new, a1)
+        x3[idx] = np.where(right, a3, a2)
+        f1[idx] = np.where(right, g2, f_new)
+        f2[idx] = np.where(right, f_new, g1)
+    return np.where(f1 < f2, x1, x2)
+
+
+def _estimate_rows(p_rows, q, lg) -> np.ndarray:
+    """log of the distance-minimising mean of every row of p_rows.
+
+    The grid pre-scan on lg brackets each row's minimum; a minimum on a
+    grid edge is returned as that grid point, and the interior ones are
+    refined together by _golden_lockstep.
+    """
+    res = _pre_scan(p_rows, q, lg)
+    k = np.argmin(res, axis=1)
+    inner = np.flatnonzero((k > 0) & (k < lg.size - 1))
+    k_in = k[inner]
+    if np.any(res[inner, k_in + 1] <= res[inner, k_in]):
+        # argmin is the first minimum, so only the right neighbour can tie
+        raise DataError(
+            "the mean photon number is not identified: the residual is flat "
+            "at its minimum (saturated data bounds the mean only from below)"
+        )
+    out = lg[k]
+    p_in = p_rows[inner]
+    out[inner] = _golden_lockstep(
+        lambda x, idx: _distances(x, p_in[idx], q),
+        lg[k_in - 1], lg[k_in], lg[k_in + 1],
+    )
+    return out
 
 
 def estimate_mean_photon(
@@ -144,7 +205,8 @@ def estimate_mean_photon(
     Bracketing plus golden-section search over log(mu); the grid pre-scan
     locates the global basin and raises CompetingBasinError when a second
     basin competes with it (data inconsistent with any single coherent
-    state).
+    state), and DataError when the residual is flat at its minimum
+    (saturated data, which bound the mean only from below).
 
     The curvature interval scales the quadratic approximation of the
     squared residual to its doubling point; it is reported on its own and
@@ -177,16 +239,19 @@ def estimate_mean_photon(
             curvature_interval=(0.0, 0.0),
         )
 
-    log_mu_hat = _point_estimate(p_obs, params, mu_bounds, grid_points)
+    q = per_photon_bin_probs(params)
+    lg = np.linspace(math.log(mu_bounds[0]), math.log(mu_bounds[1]), grid_points)
+    log_mu_hat = float(_estimate_rows(p_obs[None, :], q, lg)[0])
     mu_hat = math.exp(log_mu_hat)
-    residual = _distance(log_mu_hat, p_obs, params)
 
     # curvature of the squared residual in log(mu)
     h = 1e-3
-    sq = lambda v: _distance(v, p_obs, params) ** 2
-    second = (sq(log_mu_hat + h) - 2 * sq(log_mu_hat) + sq(log_mu_hat - h)) / h**2
+    d = _distances(log_mu_hat + np.array([h, 0.0, -h]), p_obs, q)
+    residual = float(d[1])
+    sq = d**2
+    second = (sq[0] - 2 * sq[1] + sq[2]) / h**2
     if second > 0:
-        half_log = math.sqrt(2.0 * sq(log_mu_hat) / second)
+        half_log = math.sqrt(2.0 * sq[1] / second)
     else:
         half_log = 0.0
     curvature_iv = (mu_hat * math.exp(-half_log), mu_hat * math.exp(half_log))
@@ -198,15 +263,11 @@ def estimate_mean_photon(
             raise DataError("bootstrap requires n_pulses")
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
         rates = coherent_bin_probs(params, mu_hat)
+        counts = rng.binomial(n_pulses, rates, size=(n_bootstrap, rates.size))
+        p_boot = poisson_binomial_rows(counts / n_pulses)
         # re-estimates live near mu_hat; a narrow bracket is enough
-        boot_bounds = (mu_hat / 4.0, mu_hat * 4.0)
-        draws = np.empty(n_bootstrap)
-        for b in range(n_bootstrap):
-            p_hat = rng.binomial(n_pulses, rates) / n_pulses
-            p_boot = poisson_binomial_pmf(p_hat)
-            draws[b] = math.exp(
-                _point_estimate(p_boot, params, boot_bounds, 41)
-            )
+        lg_boot = np.linspace(math.log(mu_hat / 4.0), math.log(mu_hat * 4.0), 41)
+        draws = np.exp(_estimate_rows(p_boot, q, lg_boot))
         # basic (reflected) interval: recenters the transform-induced bias
         q_lo, q_hi = np.percentile(draws, (2.5, 97.5))
         bootstrap_iv = (

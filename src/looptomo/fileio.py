@@ -24,6 +24,9 @@ from .tomography import ReconstructionReport, SweepResult, UncertaintyBand
 
 _FLOAT_FMT = "%.17g"
 _BLOCK_LINES = 4096  # CSV lines joined and written per write call
+# zero runs at least this long are written as repeated "0\n"; a shorter run
+# costs fewer Python steps formatted along with its neighbours
+_MIN_ZERO_RUN = 32
 
 
 def _write_csv(path, header: str, lines) -> None:
@@ -152,11 +155,12 @@ def load_ensemble(path) -> ProbeEnsemble:
 def _count_blocks(counts: np.ndarray):
     """One count per line, as text blocks of at most _BLOCK_LINES lines.
 
-    Zero runs are written as repeated "0\\n"; the counts between them are
-    formatted one by one.
+    Zero runs of at least _MIN_ZERO_RUN lines are written as repeated
+    "0\\n"; the counts between them are formatted one by one.
     """
     zero = np.concatenate([[False], counts == 0, [False]])
     runs = np.flatnonzero(zero[1:] != zero[:-1]).reshape(-1, 2)  # [start, end)
+    runs = runs[runs[:, 1] - runs[:, 0] >= _MIN_ZERO_RUN]
     pos = 0
     for start, end in [*runs.tolist(), (counts.size, counts.size)]:
         for i in range(pos, start, _BLOCK_LINES):

@@ -659,6 +659,29 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_saturated_data_is_data_error(self, tmp_path, capsys):
+        # every pulse clicks every bin; scipy's bracketing error used to
+        # surface here in place of what is wrong with the data
+        params_path = tmp_path / "params.json"
+        fileio.save_params(PARAMS, params_path)
+        dist_path = tmp_path / "saturated.csv"
+        fileio.save_outcome_matrix(
+            OutcomeMatrix(np.eye(11)[10][None, :], np.array([10**6])), dist_path
+        )
+        code = main(
+            [
+                "estimate",
+                "--params", str(params_path),
+                "--outcome-dist", str(dist_path),
+                "--out", str(tmp_path / "est.json"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: the mean photon number is not identified")
+        assert "Traceback" not in err
+        assert not (tmp_path / "est.json").exists()
+
     def test_console_script_runs(self):
         out = subprocess.run(
             [sys.executable, "-m", "looptomo.cli", "--help"],

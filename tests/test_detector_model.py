@@ -163,7 +163,8 @@ class TestPoissonBinomialClosed:
 
 class TestPoissonBinomialRows:
     def test_many_rows_match_single_rows_and_enumeration(self):
-        # many rows take the per-bin pass, one row the vectorised product
+        # one recurrence for any row count; a row's pmf does not depend on
+        # the rows batched with it
         rng = np.random.default_rng(11)
         for nb in range(13):
             pmat = rng.random((7, nb))

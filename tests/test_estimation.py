@@ -1,13 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from looptomo import (
     DataError,
     LoopParams,
+    coherent_bin_probs,
     coherent_outcome_distribution,
     crosscheck_fock_path,
     estimate_mean_photon,
+    estimation,
     mean_occupied_bins,
+    per_photon_bin_probs,
+    poisson_binomial_rows,
     simulate_bin_totals,
 )
 from looptomo.detector_model import fock_sum_bin_prob, bin_click_prob_coherent
@@ -61,6 +68,15 @@ class TestEstimateMeanPhoton:
         with pytest.raises(DataError):
             estimate_mean_photon(np.ones(11) / 11, BRIGHT)
 
+    @pytest.mark.parametrize("saturated", [
+        np.eye(11)[10], coherent_outcome_distribution(TEN, 1e7)
+    ])
+    def test_saturated_data_is_not_identified(self, saturated):
+        # every pulse clicks every bin: the residual is zero for every large
+        # mean, so the data bound the mean only from below
+        with pytest.raises(DataError, match="not identified"):
+            estimate_mean_photon(saturated, TEN)
+
     def test_two_state_mixture_aborts(self):
         mix = 0.5 * coherent_outcome_distribution(BRIGHT, 2.0)
         mix = mix + 0.5 * coherent_outcome_distribution(BRIGHT, 71_000.0)
@@ -99,6 +115,74 @@ class TestEstimateMeanPhoton:
                                  seed=9)
         assert a.mean_photon == b.mean_photon
         assert a.confidence_interval == b.confidence_interval
+
+
+def _scipy_estimates(p_rows, q, lg):
+    """Per row: the pre-scan bracket, then scipy's golden section on the
+    search's own distance evaluated as a one-row batch; (estimates, steps)."""
+    res = estimation._pre_scan(p_rows, q, lg)
+    out, steps = [], []
+    for p, r in zip(p_rows, res):
+        k = int(np.argmin(r))
+        if k in (0, lg.size - 1):
+            out.append(lg[k])
+            continue
+        opt = minimize_scalar(
+            lambda x: estimation._distances(np.array([x]), p[None, :], q)[0],
+            bracket=(lg[k - 1], lg[k], lg[k + 1]),
+            method="golden",
+            options=dict(xtol=1e-9),
+        )
+        out.append(opt.x)
+        steps.append(opt.nit)
+    return np.array(out), steps
+
+
+class TestLockstepSearch:
+    def test_bootstrap_draws_equal_scipy_golden(self):
+        n_pulses = 10**6
+        counts = simulate_bin_totals(BRIGHT, 5000.0, n_pulses, seed=4)
+        p_hat = outcome_probabilities(bin_probabilities(counts, n_pulses))
+        est = estimate_mean_photon(p_hat, BRIGHT, n_pulses=n_pulses,
+                                   n_bootstrap=20, seed=9)
+        # the bootstrap's draws, rebuilt from its seed and fitted rates
+        mu = est.mean_photon
+        rng = np.random.default_rng(np.random.SeedSequence([9]))
+        counts = rng.binomial(n_pulses, coherent_bin_probs(BRIGHT, mu), (20, 119))
+        p_boot = poisson_binomial_rows(counts / n_pulses)
+        lg = np.linspace(math.log(mu / 4.0), math.log(mu * 4.0), 41)
+        q = per_photon_bin_probs(BRIGHT)
+        lockstep = estimation._estimate_rows(p_boot, q, lg)
+        reference, _ = _scipy_estimates(p_boot, q, lg)
+        assert np.array_equal(lockstep, reference)
+        q_lo, q_hi = np.percentile(np.exp(lockstep), (2.5, 97.5))
+        assert est.bootstrap_interval == (max(0.0, 2 * mu - q_hi), 2 * mu - q_lo)
+
+    def test_rows_stopping_at_different_steps(self):
+        # the stopping test is relative to |log mu|, so a mean near 1 needs
+        # more steps than a bright one
+        means = [1.5, 30.0, 5000.0, 71_000.0]
+        p_rows = np.vstack([coherent_outcome_distribution(BRIGHT, m) for m in means])
+        q = per_photon_bin_probs(BRIGHT)
+        lg = np.linspace(math.log(1e-3), math.log(1e9), 121)
+        lockstep = estimation._estimate_rows(p_rows, q, lg)
+        reference, steps = _scipy_estimates(p_rows, q, lg)
+        assert len(set(steps)) > 1
+        assert np.array_equal(lockstep, reference)
+        # the point estimate is the same search on a one-row batch
+        for p, x in zip(p_rows, lockstep):
+            assert estimate_mean_photon(p, BRIGHT).mean_photon == math.exp(x)
+
+    def test_minimum_on_grid_edge_returns_grid_point(self):
+        means = [5000.0 / 10, 5000.0, 5000.0 * 10]
+        p_rows = np.vstack([coherent_outcome_distribution(BRIGHT, m) for m in means])
+        q = per_photon_bin_probs(BRIGHT)
+        lg = np.linspace(math.log(5000.0 / 4), math.log(5000.0 * 4), 41)
+        lockstep = estimation._estimate_rows(p_rows, q, lg)
+        reference, _ = _scipy_estimates(p_rows, q, lg)
+        assert np.array_equal(lockstep, reference)
+        assert lockstep[0] == lg[0] and lockstep[2] == lg[-1]
+        assert abs(math.exp(lockstep[1]) / 5000.0 - 1.0) < 1e-6
 
 
 class TestPathEquivalence:

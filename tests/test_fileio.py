@@ -108,6 +108,8 @@ class TestHistogramRoundTrip:
     @pytest.mark.parametrize("case", [
         "sparse", "dense", "all_zero", "single_zero", "single_count",
         "leading_and_trailing", "short_zero_runs", "runs_around_block_size",
+        "alternating_zero_one", "poisson_one", "bench_layout",
+        "runs_around_min_zero_run",
     ])
     def test_csv_bytes_match_line_by_line_writer(
         self, tmp_path, monkeypatch, block_lines, case
@@ -132,6 +134,17 @@ class TestHistogramRoundTrip:
                                      np.zeros(run), [1]])
         elif case == "short_zero_runs":
             counts = np.tile([0, 4, 0, 0, 12], 2000)
+        elif case == "alternating_zero_one":
+            counts = np.arange(140_601) % 2
+        elif case == "poisson_one":
+            counts = rng.poisson(1.0, 140_601)
+        elif case == "bench_layout":  # 10 window totals 15,600 raw bins apart
+            counts = np.zeros(140_601, dtype=np.int64)
+            counts[100 + 15_600 * np.arange(10)] = rng.integers(1, 10**6, 10)
+        elif case == "runs_around_min_zero_run":
+            m = fileio._MIN_ZERO_RUN
+            counts = np.concatenate([[1], np.zeros(m - 1), [2], np.zeros(m), [3],
+                                     np.zeros(m + 1), [4]])
         else:  # zero runs one shorter than, equal to and one longer than a block
             counts = np.concatenate([[1], np.zeros(block_lines - 1), [2],
                                      np.zeros(block_lines), [3],
@@ -145,7 +158,8 @@ class TestHistogramRoundTrip:
         monkeypatch.setattr(fileio, "_BLOCK_LINES", 100)
         counts = np.concatenate([np.zeros(64), [5, 0, 2, 7], np.zeros(250)])
         blocks = list(fileio._count_blocks(counts.astype(np.int64)))
-        assert blocks == ["0\n" * 64, "5\n", "0\n", "2\n7\n", "0\n" * 100,
+        # the single zero is shorter than _MIN_ZERO_RUN: formatted in line
+        assert blocks == ["0\n" * 64, "5\n0\n2\n7\n", "0\n" * 100,
                           "0\n" * 100, "0\n" * 50]
 
     def test_reject_garbage(self, tmp_path):

@@ -21,6 +21,7 @@ from looptomo import (
     integrate_histogram,
     poisson_binomial_bruteforce,
     poisson_binomial_pmf,
+    poisson_binomial_rows,
     project_rows_to_simplex,
 )
 from looptomo.probe_states import poisson_pmf, poisson_row, poisson_window
@@ -108,6 +109,26 @@ def test_pmf_matches_enumeration(p):
     expected = [poisson_binomial_bruteforce(p, n) for n in range(len(p) + 1)]
     np.testing.assert_allclose(pmf, expected, rtol=0, atol=1e-10)
 
+
+
+_probability_rows = st.tuples(st.integers(1, 64), st.integers(0, 119)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53]),
+    ))
+)
+
+
+@PROPERTY
+@given(pmat=_probability_rows)
+def test_batch_rows_equal_rows_computed_alone(pmat):
+    # the bright-state search evaluates many draws in one batch and relies
+    # on each row being exactly what a one-row call returns
+    pmfs = poisson_binomial_rows(pmat)
+    assert pmfs.shape == (pmat.shape[0], pmat.shape[1] + 1)
+    assert pmfs.min() >= 0.0
+    for r, p in enumerate(pmat):
+        assert np.array_equal(pmfs[r], poisson_binomial_rows(p[None, :])[0])
 
 @PROPERTY
 @given(
