@@ -21,7 +21,6 @@ from .detector_model import (
     mean_occupied_bins,
     per_photon_bin_probs,
     poisson_binomial_bruteforce,
-    poisson_binomial_closed,
     poisson_binomial_pmf,
     poisson_binomial_rows,
     simulate_bin_clicks,

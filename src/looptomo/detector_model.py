@@ -245,14 +245,6 @@ def poisson_binomial_pmf(p) -> np.ndarray:
     return poisson_binomial_rows(_validate_probs(p)[None, :])[0]
 
 
-def poisson_binomial_closed(p, n: int) -> float:
-    """Poisson binomial probability of n successes, from the row engine."""
-    p = _validate_probs(p)
-    if not 0 <= n <= p.size:
-        raise ValueError(f"n={n} outside 0..{p.size}")
-    return float(poisson_binomial_pmf(p)[n])
-
-
 def fock_bin_prob_rows(params: LoopParams, photon_numbers: np.ndarray) -> np.ndarray:
     """Matrix of bin click probabilities, one row per Fock photon number."""
     q = per_photon_bin_probs(params)

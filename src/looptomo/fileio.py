@@ -1,15 +1,17 @@
 """Readers and writers for the on-disk artifact formats.
 
 All floats are serialized with round-trip precision (%.17g in CSV), so
-identical inputs produce byte-identical files. CSV lines are written in
-fixed-size blocks, so no artifact is held in memory as one string.
+identical inputs produce byte-identical files. Numeric CSV tables are
+formatted a block of rows at a time by a numpy kernel that gives exactly the
+bytes of "%.17g" % x, handing the values it cannot prove to Python's
+formatting; histogram counts are written in blocks of lines. No artifact is
+held in memory as one string.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 import json
 from pathlib import Path
 
@@ -23,25 +25,182 @@ from .probe_states import ProbeEnsemble
 from .tomography import ReconstructionReport, SweepResult, UncertaintyBand
 
 _FLOAT_FMT = "%.17g"
-_BLOCK_LINES = 4096  # CSV lines joined and written per write call
+# lines per histogram write; a float CSV block holds 2x this many fields
+_BLOCK_LINES = 4096
 # zero runs at least this long are written as repeated "0\n"; a shorter run
 # costs fewer Python steps formatted along with its neighbours
 _MIN_ZERO_RUN = 32
 
+# -- block formatter ----------------------------------------------------------
+#
+# A CSV block is built as 32 bytes per field, four little-endian uint64 words:
+# a head (sign, then "0."-"0.000" and the first digit, or the first digit and
+# "."), 16 digits, and a tail (exponent; the separator in the top byte). Unused
+# bytes are NUL and squeezed out of the finished block.
+#
+# A float x with 1e-280 <= |x| < 1 gets the bytes of "%.17g" % x. Its digits
+# are N = round(|x| 10^p) with p = 16 - floor(log10 |x|), so that
+# 10^16 <= N < 10^17. |x| 10^p is formed as a double plus an error term:
+# Dekker's exact TwoProduct of |x| with 10^p rounded to a double, plus |x|
+# times the rest of 10^p. Its error is below 1e-13, so N is exact unless the
+# fraction is within _TIE_MARGIN of one half, where %.17g rounds an exact tie
+# to even. Those values, the values outside the range, non-finite values and
+# integers of 17 digits or more go through Python's formatting.
 
-def _write_csv(path, header: str, lines) -> None:
-    """Write the header line, then ``lines`` in blocks of _BLOCK_LINES."""
-    lines = iter(lines)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        while block := list(itertools.islice(lines, _BLOCK_LINES)):
-            fh.write("\n".join(block) + "\n")
+_U8 = np.dtype("<u8")
+_TIE_MARGIN = 1e-6
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split into two 26-bit halves
 
 
-def _labelled_lines(labels, values: np.ndarray):
-    """Lines "label,v_0,...,v_k": an integer label, then round-trip floats."""
-    fmt = "%d," + ",".join([_FLOAT_FMT] * values.shape[1])
-    return (fmt % (label, *row.tolist()) for label, row in zip(labels, values))
+def _pow10_table(n: int) -> tuple[np.ndarray, ...]:
+    """10^p for p < n: the nearest double, its Dekker halves, and the rest."""
+    exact = [10**p for p in range(n)]
+    hi = np.array([float(e) for e in exact])
+    rest = np.array([float(e - int(h)) for e, h in zip(exact, hi.tolist())])
+    c = _SPLIT * hi
+    hi_h = c - (c - hi)
+    return hi, hi_h, hi - hi_h, rest
+
+
+def _digit_table() -> np.ndarray:
+    """ASCII words of 0000..9999 in three runs of 10^4: all four digits,
+    trailing zeros as NUL, leading zeros as NUL."""
+    g = np.arange(10_000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    trailing = np.cumprod(digits[:, ::-1] == 0, axis=1)[:, ::-1] == 1
+    leading = np.cumprod(digits == 0, axis=1) == 1
+    chars = (digits + ord("0")).astype(np.uint8)
+    runs = [chars, np.where(trailing, 0, chars), np.where(leading, 0, chars)]
+    return np.concatenate(runs).view("<u4").ravel()
+
+
+def _words(texts, justify) -> np.ndarray:
+    return np.frombuffer(b"".join(justify(t.encode(), 8, b"\0") for t in texts), _U8)
+
+
+_POW_HI, _POW_HI_H, _POW_HI_L, _POW_REST = _pow10_table(300)
+_DIGITS = _digit_table()
+_TRAILING, _LEADING = 10_000, 20_000  # offsets of the stripped runs
+# head of a float at 70 * sign + 7 * first digit + form; forms 0-3 are fixed
+# notation with 0-3 zeros after "0.", 4 and 5 scientific with and without a
+# fraction, 6 a zero
+_FLOAT_HEADS = _words(
+    [head for sign in ("", "-") for d in "0123456789"
+     for head in [sign + "0." + "0" * z + d for z in range(4)]
+     + [sign + d + ".", sign + d, sign + "0"]],
+    bytes.rjust,
+)
+_INT_HEADS = _words(["", "-", "0"], bytes.rjust)  # by (v < 0) + 2 * (v == 0)
+_EXPONENTS = _words([f"e-{e:02d}" if e else "" for e in range(300)], bytes.ljust)
+_COMMA, _NEWLINE = (np.uint64(ord(c) << 56) for c in ",\n")
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer part and fraction of a 10^(16 - k)."""
+    p = 16 - k
+    hi, hi_h, hi_l = _POW_HI[p], _POW_HI_H[p], _POW_HI_L[p]
+    c = _SPLIT * a
+    a_h = c - (c - a)
+    a_l = a - a_h
+    prod = a * hi
+    err = ((a_h * hi_h - prod) + a_h * hi_l + a_l * hi_h) + a_l * hi_l
+    rest = err + a * _POW_REST[p]
+    whole = np.floor(rest)
+    return prod.astype(np.int64) + whole.astype(np.int64), rest - whole
+
+
+def _digit_words(value: np.ndarray, out: np.ndarray, strip: int) -> None:
+    """The 16 digits of value < 10^16 as four ASCII words into out[..., 2:6];
+    ``strip`` NULs the trailing (_TRAILING) or leading (_LEADING) zeros."""
+    hi8, lo8 = np.divmod(value, 10**8)
+    g1, g2 = np.divmod(hi8, 10**4)
+    g3, g4 = np.divmod(lo8, 10**4)
+    words = out.view("<u4")
+    if strip == _TRAILING:
+        words[..., 2] = _DIGITS[g1 + _TRAILING * ((g2 == 0) & (lo8 == 0))]
+        words[..., 3] = _DIGITS[g2 + _TRAILING * (lo8 == 0)]
+        words[..., 4] = _DIGITS[g3 + _TRAILING * (g4 == 0)]
+        words[..., 5] = _DIGITS[g4 + _TRAILING]
+    else:
+        words[..., 2] = _DIGITS[g1 + _LEADING]
+        words[..., 3] = _DIGITS[g2 + _LEADING * (g1 == 0)]
+        words[..., 4] = _DIGITS[g3 + _LEADING * (hi8 == 0)]
+        words[..., 5] = _DIGITS[g4 + _LEADING * ((hi8 == 0) & (g3 == 0))]
+
+
+def _python_fields(values: np.ndarray, mask: np.ndarray, fmt: bytes, out) -> None:
+    """The fields of the values under mask, formatted by Python as ``fmt % v``."""
+    if mask.any():
+        text = b"".join((fmt % v).ljust(32, b"\0") for v in values[mask].tolist())
+        out[mask] = np.frombuffer(text, _U8).reshape(-1, 4)
+
+
+def _float_fields(x: np.ndarray, out: np.ndarray) -> None:
+    """The %.17g fields of float64 x into out, of shape x.shape + (4,)."""
+    a = np.abs(x)
+    in_range = (a >= 1e-280) & (a < 1.0)
+    a = np.where(in_range, a, 0.5)  # zeros and the rest are written below
+    k = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = _scaled(a, k)
+    off = (whole < 10**16) | (whole >= 10**17)  # floor(log10 a) was one off
+    if off.any():
+        k[off] += np.where(whole[off] < 10**16, -1, 1)
+        whole[off], frac[off] = _scaled(a[off], k[off])
+    n = whole + (frac > 0.5)
+    top = n == 10**17  # rounded up to the next decade
+    k += top
+    first, rest = np.divmod(np.where(top, 10**16, n), 10**16)
+    fixed = k >= -4
+    form = np.where(fixed, -1 - k, 5 - (rest != 0))
+    form[x == 0] = 6
+    out[..., 0] = _FLOAT_HEADS[70 * np.signbit(x) + 7 * first + form]
+    _digit_words(rest, out, _TRAILING)
+    out[..., 3] = _EXPONENTS[np.where(fixed, 0, -k)]
+    tie = np.abs(frac - 0.5) < _TIE_MARGIN
+    _python_fields(x, ~in_range & (x != 0) | tie, _FLOAT_FMT.encode(), out)
+
+
+def _int_fields(v: np.ndarray, out: np.ndarray) -> None:
+    """The %d fields of integer array v into out, of shape v.shape + (4,)."""
+    v = v.astype(np.int64)
+    m = np.abs(v)
+    in_range = (m >= 0) & (m < 10**16)  # abs of the int64 minimum is negative
+    m = np.where(in_range, m, 0)
+    out[..., 0] = _INT_HEADS[(v < 0) + 2 * (v == 0)]
+    _digit_words(m, out, _LEADING)
+    out[..., 3] = 0
+    _python_fields(v, ~in_range, b"%d", out)
+
+
+def _csv_block(columns) -> bytes:
+    """The CSV lines of 2-D columns with equal row counts: an integer or bool
+    column gives "%d" fields, a float column "%.17g" fields."""
+    rows = len(columns[0])
+    fields = np.empty((rows, sum(col.shape[1] for col in columns), 4), _U8)
+    start = 0
+    for col in columns:
+        out = fields[:, start:start + col.shape[1]]
+        if col.dtype.kind == "f":
+            _float_fields(col.astype(np.float64, copy=False), out)
+        else:
+            _int_fields(col, out)
+        start += col.shape[1]
+    fields[:, :-1, 3] |= _COMMA
+    fields[:, -1, 3] |= _NEWLINE
+    text = fields.view(np.uint8).ravel()
+    return text[text != 0].tobytes()
+
+
+def _write_csv(path, header: str, *columns) -> None:
+    """Write the header line, then one line per row of ``columns`` (1-D
+    columns give one field), in blocks of about 2 * _BLOCK_LINES fields."""
+    columns = [np.asarray(col) for col in columns]
+    columns = [col if col.ndim == 2 else col[:, None] for col in columns]
+    step = max(1, 2 * _BLOCK_LINES // sum(col.shape[1] for col in columns))
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, len(columns[0]), step):
+            fh.write(_csv_block([col[start:start + step] for col in columns]))
 
 
 def _outcome_header(first: str, n_out: int) -> str:
@@ -269,11 +428,8 @@ def load_manifest(path) -> dict:
 # -- outcome matrices ---------------------------------------------------------
 
 def save_outcome_matrix(matrix: OutcomeMatrix, path) -> None:
-    _write_csv(
-        path,
-        _outcome_header("n_pulses", matrix.n_outcomes),
-        _labelled_lines(matrix.n_pulses, matrix.values),
-    )
+    _write_csv(path, _outcome_header("n_pulses", matrix.n_outcomes),
+               matrix.n_pulses, matrix.values)
 
 
 def load_outcome_matrix(path) -> OutcomeMatrix:
@@ -287,13 +443,10 @@ def load_outcome_matrix(path) -> OutcomeMatrix:
 # -- POVM sets ----------------------------------------------------------------
 
 def save_povm_csv(povm: POVMSet, path) -> None:
-    supported = povm.supported if povm.supported is not None else itertools.repeat(1)
-    lines = _labelled_lines(itertools.count(), povm.theta)
-    _write_csv(
-        path,
-        _outcome_header("fock_index", povm.n_outcomes) + ",supported",
-        (f"{line},{int(sup)}" for line, sup in zip(lines, supported)),
-    )
+    rows = len(povm.theta)
+    supported = povm.supported if povm.supported is not None else np.ones(rows, bool)
+    _write_csv(path, _outcome_header("fock_index", povm.n_outcomes) + ",supported",
+               np.arange(rows), povm.theta, supported)
 
 
 def save_povm_rows_csv(rows: np.ndarray, first_index: int, path) -> None:
@@ -302,11 +455,8 @@ def save_povm_rows_csv(rows: np.ndarray, first_index: int, path) -> None:
     The block format of ``looptomo extrapolate`` over its memory budget:
     the POVM CSV columns without the support flag.
     """
-    _write_csv(
-        path,
-        _outcome_header("fock_index", rows.shape[1]),
-        _labelled_lines(itertools.count(first_index), rows),
-    )
+    _write_csv(path, _outcome_header("fock_index", rows.shape[1]),
+               np.arange(first_index, first_index + len(rows)), rows)
 
 
 def load_povm_csv(path) -> POVMSet:
@@ -328,13 +478,9 @@ def save_report(report: ReconstructionReport, path) -> None:
 
 def save_lcurve(sweep: SweepResult, path) -> None:
     """One line per smoothing weight of an epsilon sweep."""
-    fmt = ",".join([_FLOAT_FMT] * 4)
-    _write_csv(
-        path,
-        "epsilon,residual,smoothness,objective",
-        (fmt % (p.epsilon, p.residual, p.smoothness, p.objective)
-         for p in sweep.points),
-    )
+    values = [(p.epsilon, p.residual, p.smoothness, p.objective) for p in sweep.points]
+    _write_csv(path, "epsilon,residual,smoothness,objective",
+               np.array(values, dtype=float).reshape(-1, 4))
 
 
 def _band_header(n_out: int) -> str:
@@ -343,11 +489,8 @@ def _band_header(n_out: int) -> str:
 
 def save_band(band: UncertaintyBand, path) -> None:
     interleaved = np.stack([band.lo, band.hi], axis=2).reshape(len(band.lo), -1)
-    _write_csv(
-        path,
-        _band_header(band.lo.shape[1]),
-        _labelled_lines(itertools.count(), interleaved),
-    )
+    _write_csv(path, _band_header(band.lo.shape[1]),
+               np.arange(len(interleaved)), interleaved)
 
 
 def load_band(path) -> tuple[np.ndarray, np.ndarray]:
@@ -365,7 +508,7 @@ def save_plot_series(povm: POVMSet, grid, band, out_dir) -> None:
     for n in range(povm.n_outcomes):
         columns = [povm.theta[grid, n]] + [b[grid, n] for b in band or ()]
         _write_csv(Path(out_dir) / f"outcome_{n:03d}.csv", header,
-                   _labelled_lines(grid, np.column_stack(columns)))
+                   grid, np.column_stack(columns))
 
 
 # -- fit results and estimates ------------------------------------------------

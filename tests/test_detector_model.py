@@ -14,7 +14,6 @@ from looptomo import (
     mean_occupied_bins,
     per_photon_bin_probs,
     poisson_binomial_bruteforce,
-    poisson_binomial_closed,
     poisson_binomial_pmf,
     poisson_binomial_rows,
     simulate_bin_clicks,
@@ -125,7 +124,7 @@ class TestPoissonBinomialBruteforce:
 
 class TestPoissonBinomialClosed:
     def test_matches_hand_enumeration(self):
-        assert poisson_binomial_closed([0.1, 0.2, 0.3], 2) == pytest.approx(
+        assert poisson_binomial_pmf([0.1, 0.2, 0.3])[2] == pytest.approx(
             0.092, abs=1e-12
         )
 
@@ -135,7 +134,7 @@ class TestPoissonBinomialClosed:
         np.testing.assert_allclose(pmf, expected, atol=1e-12)
 
     def test_certain_bins(self):
-        assert poisson_binomial_closed([1.0] * 10, 10) == pytest.approx(1.0, abs=1e-12)
+        assert poisson_binomial_pmf([1.0] * 10)[10] == pytest.approx(1.0, abs=1e-12)
 
     def test_randomized_oracle_equivalence(self):
         rng = np.random.default_rng(7)
@@ -150,9 +149,10 @@ class TestPoissonBinomialClosed:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            poisson_binomial_closed([0.5, 1.2], 1)
-        with pytest.raises(ValueError):
-            poisson_binomial_closed([0.5, 0.5], 3)
+            poisson_binomial_pmf([0.5, 1.2])
+        # two bins have no third success
+        with pytest.raises(IndexError):
+            poisson_binomial_pmf([0.5, 0.5])[3]
 
     def test_pmf_normalized(self):
         rng = np.random.default_rng(3)

@@ -14,6 +14,7 @@ from looptomo import (
     ProbeEnsemble,
     SmoothingConfig,
     TimeTagHistogram,
+    UncertaintyBand,
     build_model_povm,
     coherent_outcome_distribution,
     estimate_mean_photon,
@@ -251,6 +252,61 @@ class TestPovmRoundTrip:
         fileio.save_povm_csv(povm, path)
         back = fileio.load_povm_csv(path)
         assert np.array_equal(back.theta, povm.theta)
+
+
+def _line_by_line_table_csv(path, header, labels, values, flags=None):
+    """The table writer that formatted every line with one %-format string:
+    an integer label, %.17g floats, then the integer flag if given."""
+    fmt = ",".join(["%d"] + ["%.17g"] * values.shape[1])
+    lines = [fmt % (label, *row) for label, row in zip(labels, values.tolist())]
+    if flags is not None:
+        lines = [f"{line},{int(flag)}" for line, flag in zip(lines, flags)]
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + "".join(line + "\n" for line in lines))
+
+
+class TestTableBytes:
+    @pytest.fixture
+    def povm(self, params):
+        rng = np.random.default_rng(5)
+        theta = build_model_povm(params, 3000).theta.copy()
+        theta[1:9, -1] = -1e-13 * rng.random(8)  # below 10 photons: tiny negatives
+        return POVMSet(theta, rng.random(3001) < 0.7)
+
+    @pytest.mark.parametrize("block_lines", [2, 4096])
+    @pytest.mark.parametrize("artifact", ["povm", "povm_rows", "band",
+                                          "outcome_matrix"])
+    def test_bytes_match_line_by_line_writer(
+        self, tmp_path, monkeypatch, povm, block_lines, artifact
+    ):
+        monkeypatch.setattr(fileio, "_BLOCK_LINES", block_lines)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        theta, rows = povm.theta, np.arange(3001)
+        if artifact == "povm":
+            fileio.save_povm_csv(povm, new)
+            header = fileio._outcome_header("fock_index", 11) + ",supported"
+            _line_by_line_table_csv(old, header, rows, theta, povm.supported)
+        elif artifact == "povm_rows":
+            fileio.save_povm_rows_csv(theta, 10**15 - 1000, new)
+            _line_by_line_table_csv(old, fileio._outcome_header("fock_index", 11),
+                                    rows + 10**15 - 1000, theta)
+        elif artifact == "band":
+            band = UncertaintyBand(theta * 0.9, np.minimum(theta * 1.1, 1.0), 2, 0.05)
+            fileio.save_band(band, new)
+            interleaved = np.stack([band.lo, band.hi], axis=2).reshape(3001, -1)
+            _line_by_line_table_csv(old, fileio._band_header(11), rows, interleaved)
+        else:  # labels past 16 digits and 1e-290 entries take Python's formatting
+            rng = np.random.default_rng(6)
+            values = rng.dirichlet(np.full(5, 0.3), 500)
+            values[::7, 0] = 1e-290
+            values /= values.sum(axis=1, keepdims=True)
+            values[3] = [1.0, 0.0, 0.0, 0.0, 0.0]
+            pulses = (rng.integers(1, 10**18, 500) >> rng.integers(0, 60, 500)) + 1
+            matrix = OutcomeMatrix(values, pulses)
+            fileio.save_outcome_matrix(matrix, new)
+            _line_by_line_table_csv(old, fileio._outcome_header("n_pulses", 5),
+                                    matrix.n_pulses, matrix.values)
+        assert new.read_bytes() == old.read_bytes()
 
 
 class TestLcurveAndReport:

@@ -329,6 +329,58 @@ def test_csv_readers_fail_only_by_contract(tmp_path_factory, reader, header, bod
         pass
 
 
+def _python_lines(values: np.ndarray, fmt: bytes) -> list[bytes]:
+    """One line per value, formatted by Python's ``fmt % v``."""
+    return [fmt % v for v in values.tolist()] + [b""]
+
+
+def _block_lines(values: np.ndarray) -> list[bytes]:
+    """One line per value, formatted by the CSV block formatter."""
+    return fileio._csv_block([values[:, None]]).split(b"\n")
+
+
+# every kind of double: subnormals, +-0, +-inf, nan and values >= 1, and
+# values in [1e-280, 1), which the formatter computes without Python
+_any_doubles = arrays(
+    np.float64, st.integers(1, 64),
+    elements=st.one_of(st.floats(), st.floats(-1.0, 1.0), st.floats(1e-300, 1e-3)),
+)
+
+_DOUBLE_EDGES = [
+    0.99999999999999989,  # the largest double below 1
+    1e-4, np.nextafter(1e-4, 0.0),  # where %.17g switches to an exponent
+    1e-14,  # the double lies below 10^-14 and rounds up to "1e-14"
+    5e-324, 2.2250738585072014e-308,  # the smallest subnormal and normal
+    0.5, 0.25, 0.125,
+    # exact ties at the 17th digit, which %.17g rounds to even
+    26215 / 2**18, 26217 / 2**18, 43 / 2**22,
+]
+
+
+@PROPERTY
+@given(_any_doubles)
+def test_float_block_matches_percent_17g(x):
+    assert _block_lines(x) == _python_lines(x, b"%.17g")
+
+
+def test_float_block_matches_percent_17g_at_edges():
+    x = np.array(_DOUBLE_EDGES)
+    x = np.concatenate([x, -x])
+    assert _block_lines(x) == _python_lines(x, b"%.17g")
+
+
+def test_float_block_matches_percent_17g_on_random_bits():
+    bits = np.random.default_rng(12).integers(0, 2**64, 100_000, dtype=np.uint64)
+    x = bits.view(np.float64)
+    assert _block_lines(x) == _python_lines(x, b"%.17g")
+
+
+@PROPERTY
+@given(arrays(np.int64, st.integers(1, 64)))
+def test_int_block_matches_percent_d(v):
+    assert _block_lines(v) == _python_lines(v, b"%d")
+
+
 # -- ingest and probe rows -----------------------------------------------------
 
 @PROPERTY
