@@ -17,8 +17,6 @@ from .detector_model import (
     build_model_povm,
     coherent_bin_probs,
     coherent_outcome_distribution,
-    fock_outcome_distribution,
-    mean_occupied_bins,
     per_photon_bin_probs,
     poisson_binomial_bruteforce,
     poisson_binomial_pmf,

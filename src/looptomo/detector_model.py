@@ -252,13 +252,6 @@ def fock_bin_prob_rows(params: LoopParams, photon_numbers: np.ndarray) -> np.nda
     return -np.expm1(i * np.log1p(-q[None, :]))
 
 
-def fock_outcome_distribution(params: LoopParams, n_photons: int) -> np.ndarray:
-    """Outcome distribution (occupied-bin counts) for a Fock input."""
-    if n_photons < 0:
-        raise ValueError(f"n_photons must be >= 0, got {n_photons}")
-    return model_povm_rows(params, np.array([n_photons]))[0]
-
-
 def model_povm_rows(
     params: LoopParams, photon_numbers: np.ndarray
 ) -> np.ndarray:
@@ -364,11 +357,6 @@ def simulate_bin_totals(
     c = _effective_click_probs(params, mean_photon, dark_prob)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     return rng.binomial(n_pulses, c).astype(np.int64)
-
-
-def mean_occupied_bins(params: LoopParams, mean_photon: float) -> float:
-    """Expected number of occupied bins for a coherent input."""
-    return float(coherent_bin_probs(params, mean_photon).sum())
 
 
 def coherent_outcome_distribution(

@@ -10,8 +10,6 @@ from looptomo import (
     bin_click_prob_fock,
     build_model_povm,
     coherent_bin_probs,
-    fock_outcome_distribution,
-    mean_occupied_bins,
     per_photon_bin_probs,
     poisson_binomial_bruteforce,
     poisson_binomial_pmf,
@@ -19,7 +17,7 @@ from looptomo import (
     simulate_bin_clicks,
     simulate_bin_totals,
 )
-from looptomo.detector_model import fock_sum_bin_prob
+from looptomo.detector_model import fock_sum_bin_prob, model_povm_rows
 
 DEVICE = LoopParams(
     reflectivity=0.89613,
@@ -188,12 +186,12 @@ class TestPoissonBinomialRows:
 
 class TestFockOutcomeDistribution:
     def test_vacuum_input(self):
-        dist = fock_outcome_distribution(DEVICE, 0)
+        dist = model_povm_rows(DEVICE, np.array([0]))[0]
         np.testing.assert_allclose(dist, np.eye(11)[0], atol=1e-14)
 
     def test_single_photon(self):
         q = per_photon_bin_probs(DEVICE)
-        dist = fock_outcome_distribution(DEVICE, 1)
+        dist = model_povm_rows(DEVICE, np.array([1]))[0]
         assert dist[0] == pytest.approx(np.prod(1 - q), rel=1e-12)
         p1 = sum(q[j] * np.prod(np.delete(1 - q, j)) for j in range(10))
         assert dist[1] == pytest.approx(p1, rel=1e-12)
@@ -204,18 +202,20 @@ class TestFockOutcomeDistribution:
 
     def test_hundred_photons_vs_bruteforce(self):
         probs = [bin_click_prob_fock(DEVICE, j, 100) for j in range(1, 11)]
-        dist = fock_outcome_distribution(DEVICE, 100)
+        dist = model_povm_rows(DEVICE, np.array([100]))[0]
         for n in range(11):
             assert abs(dist[n] - poisson_binomial_bruteforce(probs, n)) < 1e-10
 
     def test_normalization(self):
         for i in (0, 1, 17, 4900, 10**6):
-            assert abs(fock_outcome_distribution(DEVICE, i).sum() - 1.0) < 1e-10
+            dist = model_povm_rows(DEVICE, np.array([i]))[0]
+            assert abs(dist.sum() - 1.0) < 1e-10
 
     def test_mean_occupancy_nondecreasing_in_photon_number(self):
         grid = np.arange(11)
         means = [
-            fock_outcome_distribution(DEVICE, i) @ grid for i in range(0, 400, 13)
+            model_povm_rows(DEVICE, np.array([i]))[0] @ grid
+            for i in range(0, 400, 13)
         ]
         assert np.all(np.diff(means) >= -1e-12)
 
@@ -303,7 +303,7 @@ class TestSimulator:
     def test_mean_occupancy_strictly_increasing(self):
         # above mu ~ 3e4 every bin saturates to 1.0 in double precision
         mus = np.geomspace(1e-2, 1e4, 40)
-        occ = [mean_occupied_bins(DEVICE, m) for m in mus]
+        occ = [coherent_bin_probs(DEVICE, m).sum() for m in mus]
         assert np.all(np.diff(occ) > 0)
 
     def test_invalid_pulse_count(self):

@@ -12,7 +12,6 @@ from looptomo import (
     crosscheck_fock_path,
     estimate_mean_photon,
     estimation,
-    mean_occupied_bins,
     per_photon_bin_probs,
     poisson_binomial_rows,
     simulate_bin_totals,
@@ -218,5 +217,5 @@ class TestPathEquivalence:
 class TestMonotonicity:
     def test_expected_occupancy_strictly_increasing(self):
         mus = np.geomspace(1e-2, 1e6, 50)
-        occ = np.array([mean_occupied_bins(BRIGHT, m) for m in mus])
+        occ = np.array([coherent_bin_probs(BRIGHT, m).sum() for m in mus])
         assert np.all(np.diff(occ) > 0)

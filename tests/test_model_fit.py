@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from looptomo import model_fit
 from looptomo import (
@@ -173,6 +174,63 @@ class TestFitParams:
         povm = build_model_povm(DEVICE, 100)
         result = fit_params(povm, 10, starts=[LoopParams(0.8, 0.8, 0.6, 10)])
         assert result.n_evaluations == len(calls) > 0
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_coarse_to_fine_matches_full_multistart(self, masked, monkeypatch):
+        # reference: the full-row solve from every default start, lowest cost
+        rng = np.random.default_rng(413)
+        exact = build_model_povm(DEVICE, 400).theta
+        noisy = POVMSet(
+            np.vstack([rng.multinomial(10**6, row) / 10**6 for row in exact])
+        )
+        mask = np.ones(401, dtype=bool)
+        if masked:
+            mask[70::3] = False
+            mask[200:260] = False
+        rows = np.flatnonzero(mask)
+        assert model_fit._search_positions(rows.size).size < rows.size
+
+        def residuals(x):
+            d = model_povm_rows(LoopParams(*x, 10), rows) - noisy.theta[rows]
+            return d.ravel()
+
+        ref = min(
+            (
+                least_squares(
+                    residuals,
+                    np.clip(
+                        [s.reflectivity, s.loop_efficiency, s.det_efficiency],
+                        *model_fit._PARAM_BOUNDS,
+                    ),
+                    bounds=model_fit._PARAM_BOUNDS,
+                )
+                for s in default_starts(10)
+            ),
+            key=lambda res: res.cost,
+        )
+
+        seen = []
+
+        def recorded(params, photon_numbers):
+            seen.append(np.asarray(photon_numbers))
+            return model_povm_rows(params, photon_numbers)
+
+        monkeypatch.setattr(model_fit, "model_povm_rows", recorded)
+        result = fit_params(noisy, 10, row_mask=mask if masked else None)
+        got = np.array(
+            [
+                result.params.reflectivity,
+                result.params.loop_efficiency,
+                result.params.det_efficiency,
+            ]
+        )
+        np.testing.assert_allclose(got, ref.x, rtol=0, atol=1e-8)
+        assert result.residual == pytest.approx(
+            np.sqrt(2.0 * ref.cost), rel=1e-12
+        )
+        # every model call sees only fitted rows, most of them a strict subset
+        assert all(np.isin(r, rows).all() for r in seen)
+        assert min(r.size for r in seen) < rows.size
 
 
 class TestExtrapolate:

@@ -24,6 +24,7 @@ from looptomo import (
     poisson_binomial_rows,
     project_rows_to_simplex,
 )
+from looptomo.model_fit import _search_positions
 from looptomo.probe_states import poisson_pmf, poisson_row, poisson_window
 from looptomo.tomography import _active_set_qp, _fw_gap, _objective
 from test_tomography import dense_kkt_qp, random_qp, sort_projection
@@ -414,3 +415,22 @@ def test_poisson_pmf_matches_mpmath(log_mean):
     # masses below the smallest normal double are flushed to zero
     np.testing.assert_allclose(poisson_pmf(counts, mean), exact, rtol=1e-12,
                                atol=np.finfo(float).tiny)
+
+
+@PROPERTY
+@given(n=st.integers(1, 200_000))
+def test_fit_search_rows_are_graded(n):
+    pos = _search_positions(n)
+    gaps = np.diff(pos)
+    assert np.all(gaps > 0)
+    head = min(n, 65)
+    np.testing.assert_array_equal(pos[:head], np.arange(head))
+    assert pos[-1] == n - 1
+    assert gaps.size == 0 or gaps.max() <= 32
+    if n <= 65:
+        np.testing.assert_array_equal(pos, np.arange(n))
+
+
+def test_fit_search_rows_at_paper_truncations():
+    assert _search_positions(2001).size == 158
+    assert _search_positions(5329).size == 262
