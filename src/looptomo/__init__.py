@@ -11,9 +11,6 @@ from .detector_model import (
     ClickSample,
     LoopParams,
     POVMSet,
-    TYPICAL_DARK_PROB,
-    bin_click_prob_coherent,
-    bin_click_prob_fock,
     build_model_povm,
     coherent_bin_probs,
     coherent_outcome_distribution,
@@ -48,11 +45,9 @@ from .model_fit import (
     iter_extrapolated_rows,
 )
 from .probe_states import (
-    CoherentProbe,
     ProbeEnsemble,
     ProbeMatrix,
     build_probe_matrix,
-    default_truncation,
     poisson_pmf,
     poisson_row,
 )

@@ -106,16 +106,15 @@ def _cmd_simulate(args) -> int:
     params = fileio.load_params(args.params)
     ensemble = fileio.load_ensemble(args.ensemble)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = ingest.BinningConfig(
         n_detector_bins=params.n_bins, bin_period_ns=params.bin_period_ns
     )
     runs = []
-    for k, probe in enumerate(ensemble.probes):
+    for k, mean in enumerate(ensemble.means.tolist()):
         run_seed = int(np.random.SeedSequence([args.seed, k]).generate_state(1)[0])
         sample = detector_model.simulate_bin_clicks(
             params,
-            probe.mean_photon,
+            mean,
             args.pulses,
             seed=run_seed,
             dark_prob=args.dark_prob,
@@ -126,14 +125,16 @@ def _cmd_simulate(args) -> int:
             bin_width_ps=args.bin_width_ps,
             n_raw_bins=args.raw_bins,
         )
+        # made only once a histogram has passed its layout checks
+        out_dir.mkdir(parents=True, exist_ok=True)
         name = f"hist_{k:03d}.csv"
         fileio.save_histogram_csv(hist, out_dir / name)
         runs.append(
             {
                 "histogram": name,
                 "n_pulses": args.pulses,
-                "label": probe.label,
-                "mean_photon": probe.mean_photon,
+                "label": k,
+                "mean_photon": mean,
             }
         )
     fileio.save_manifest(

@@ -25,13 +25,11 @@ import numpy as np
 from .errors import ConfigError
 from .probe_states import poisson_pmf, poisson_window
 
-#: Typical per-bin dark-click probability of the real device (per 2 ns bin).
-TYPICAL_DARK_PROB = 3e-8
-
 #: Subset enumeration is refused above this many bins.
 BRUTEFORCE_MAX_BINS = 20
 
 _SIM_CHUNK = 1 << 20  # pulses per simulator chunk; fixed so seeds reproduce
+_POVM_CHUNK = 100_000  # model POVM rows per pass of build_model_povm
 # rows per Poisson-binomial pass: its four (bins, block) buffers stay in cache
 _ROW_BLOCK = 1024
 
@@ -139,37 +137,6 @@ def per_photon_bin_probs(params: LoopParams) -> np.ndarray:
     return q
 
 
-def bin_click_prob_fock(params: LoopParams, bin_index: int, n_photons: int) -> float:
-    """Probability that bin j clicks for a Fock input of n_photons.
-
-    bin_index is 1-based. Each photon reaches the bin independently, so
-    the click probability is 1 - (1 - q_j)^i, evaluated in log space to
-    stay exact for photon numbers up to 1e6 and beyond.
-    """
-    if not 1 <= bin_index <= params.n_bins:
-        raise ValueError(f"bin_index {bin_index} outside 1..{params.n_bins}")
-    if n_photons < 0:
-        raise ValueError(f"n_photons must be >= 0, got {n_photons}")
-    q = per_photon_bin_probs(params)[bin_index - 1]
-    return float(-np.expm1(n_photons * np.log1p(-q)))
-
-
-def bin_click_prob_coherent(
-    params: LoopParams, mean_photon: float, bin_index: int
-) -> float:
-    """Probability that bin j clicks for a coherent input of given mean.
-
-    The Poisson mixture of 1 - (1-q)^i collapses to 1 - exp(-mu q), which
-    avoids any Fock truncation and is what makes means of order 1e5 cheap.
-    """
-    if not 1 <= bin_index <= params.n_bins:
-        raise ValueError(f"bin_index {bin_index} outside 1..{params.n_bins}")
-    if mean_photon < 0:
-        raise ValueError(f"mean_photon must be >= 0, got {mean_photon}")
-    q = per_photon_bin_probs(params)[bin_index - 1]
-    return float(-np.expm1(-mean_photon * q))
-
-
 def coherent_bin_probs(params: LoopParams, mean_photon: float) -> np.ndarray:
     """Vector of 1 - exp(-mu q_j) over all bins."""
     if mean_photon < 0:
@@ -259,9 +226,7 @@ def model_povm_rows(
     return poisson_binomial_rows(fock_bin_prob_rows(params, photon_numbers))
 
 
-def build_model_povm(
-    params: LoopParams, truncation_dim: int, chunk_rows: int = 100_000
-) -> POVMSet:
+def build_model_povm(params: LoopParams, truncation_dim: int) -> POVMSet:
     """Model POVM on Fock states 0..truncation_dim.
 
     Rows are computed independently in chunks, so truncations up to 1e6
@@ -272,8 +237,8 @@ def build_model_povm(
         raise ValueError(f"truncation_dim must be >= 0, got {truncation_dim}")
     n_rows = truncation_dim + 1
     theta = np.empty((n_rows, params.n_outcomes))
-    for start in range(0, n_rows, chunk_rows):
-        stop = min(start + chunk_rows, n_rows)
+    for start in range(0, n_rows, _POVM_CHUNK):
+        stop = min(start + _POVM_CHUNK, n_rows)
         theta[start:stop] = model_povm_rows(params, np.arange(start, stop))
     return POVMSet(theta)
 
@@ -289,10 +254,6 @@ class ClickSample:
     @property
     def bin_probabilities(self) -> np.ndarray:
         return self.bin_counts / self.n_pulses
-
-    @property
-    def outcome_frequencies(self) -> np.ndarray:
-        return self.outcome_counts / self.n_pulses
 
 
 def _effective_click_probs(
@@ -366,19 +327,15 @@ def coherent_outcome_distribution(
     return poisson_binomial_pmf(coherent_bin_probs(params, mean_photon))
 
 
-def fock_sum_bin_prob(
-    params: LoopParams,
-    mean_photon: float,
-    bin_index: int,
-    tail_sigmas: float = 8.0,
-) -> float:
-    """Poisson-weighted Fock sum for one bin; oracle for the analytic form.
+def fock_sum_bin_prob(params: LoopParams, mean_photon: float, bin_index: int) -> float:
+    """Poisson-weighted Fock sum for bin ``bin_index`` (1-based); oracle for
+    the analytic form.
 
     The sum runs over ``probe_states.poisson_window``.
     """
     if mean_photon == 0:
         return 0.0
-    lo, hi = poisson_window(mean_photon, tail_sigmas)
+    lo, hi = poisson_window(mean_photon)
     i = np.arange(lo, hi + 1)
     weights = poisson_pmf(i, mean_photon)
     q = per_photon_bin_probs(params)[bin_index - 1]

@@ -34,6 +34,8 @@ from .errors import CompetingBasinError, DataError
 from .probe_states import poisson_pmf, poisson_window
 
 DEFAULT_MU_BOUNDS = (1e-3, 1e9)
+_GRID_POINTS = 121  # log-mu pre-scan points across DEFAULT_MU_BOUNDS
+_FOCK_CHUNK = 100_000  # POVM rows per pass of crosscheck_fock_path
 
 # golden-section constants, start, update order and stopping test of
 # scipy.optimize.minimize_scalar(method="golden", options=dict(xtol=1e-9))
@@ -72,12 +74,7 @@ def _distances(log_mu, p_rows, q) -> np.ndarray:
     return np.linalg.norm(p_rows - _model_rows(log_mu, q), axis=1)
 
 
-def crosscheck_fock_path(
-    mean_photon: float,
-    params: LoopParams,
-    tail_sigmas: float = 8.0,
-    chunk_rows: int = 100_000,
-) -> np.ndarray:
+def crosscheck_fock_path(mean_photon: float, params: LoopParams) -> np.ndarray:
     """Outcome distribution via explicit Poisson row times Fock POVM.
 
     The Poisson weights are restricted to ``probe_states.poisson_window``
@@ -90,10 +87,10 @@ def crosscheck_fock_path(
         out = np.zeros(params.n_outcomes)
         out[0] = 1.0
         return out
-    lo, hi = poisson_window(mean_photon, tail_sigmas)
+    lo, hi = poisson_window(mean_photon)
     acc = np.zeros(params.n_outcomes)
-    for start in range(lo, hi + 1, chunk_rows):
-        stop = min(start + chunk_rows - 1, hi)
+    for start in range(lo, hi + 1, _FOCK_CHUNK):
+        stop = min(start + _FOCK_CHUNK - 1, hi)
         i = np.arange(start, stop + 1)
         weights = poisson_pmf(i, mean_photon)
         acc += weights @ model_povm_rows(params, i)
@@ -197,8 +194,6 @@ def estimate_mean_photon(
     n_pulses: int | None = None,
     n_bootstrap: int = 0,
     seed: int = 0,
-    mu_bounds: tuple[float, float] = DEFAULT_MU_BOUNDS,
-    grid_points: int = 121,
 ) -> BrightStateEstimate:
     """Estimate the mean photon number behind an outcome distribution.
 
@@ -240,7 +235,8 @@ def estimate_mean_photon(
         )
 
     q = per_photon_bin_probs(params)
-    lg = np.linspace(math.log(mu_bounds[0]), math.log(mu_bounds[1]), grid_points)
+    lo, hi = DEFAULT_MU_BOUNDS
+    lg = np.linspace(math.log(lo), math.log(hi), _GRID_POINTS)
     log_mu_hat = float(_estimate_rows(p_obs[None, :], q, lg)[0])
     mu_hat = math.exp(log_mu_hat)
 

@@ -288,7 +288,8 @@ def load_params(path) -> LoopParams:
 def save_ensemble(ensemble: ProbeEnsemble, path) -> None:
     doc = {
         "probes": [
-            {"label": p.label, "mean_photon": p.mean_photon} for p in ensemble.probes
+            {"label": k, "mean_photon": mean}
+            for k, mean in enumerate(ensemble.means.tolist())
         ],
         "truncation_dim": ensemble.truncation_dim,
         "tail_sigmas": ensemble.tail_sigmas,

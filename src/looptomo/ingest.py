@@ -49,43 +49,26 @@ class TimeTagHistogram:
     def span_ps(self) -> float:
         return self.counts.size * self.bin_width_ps
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class BinningConfig:
     """Placement of the detector time-bin windows on the histogram axis.
 
-    Window j (1-based) is centered at t0 + offset_j where the default
-    offsets are (j-1) * bin_period; explicit ``window_offsets_ns`` override
-    them for misaligned hardware. Windows must not overlap and must lie
-    inside the histogram span.
+    Window j (1-based) is centered at t0 + (j-1) * bin_period. Windows
+    must not overlap and must lie inside the histogram span.
     """
 
     n_detector_bins: int
     window_width_ns: float = 2.0
     bin_period_ns: float = 156.0
-    window_offsets_ns: tuple | None = None
 
     def __post_init__(self):
         if self.n_detector_bins < 1:
             raise ConfigError("n_detector_bins must be >= 1")
         if self.window_width_ns <= 0:
             raise ConfigError("window_width_ns must be > 0")
-        if self.window_offsets_ns is not None:
-            offsets = tuple(float(x) for x in self.window_offsets_ns)
-            if len(offsets) != self.n_detector_bins:
-                raise ConfigError(
-                    f"{len(offsets)} window offsets for "
-                    f"{self.n_detector_bins} detector bins"
-                )
-            object.__setattr__(self, "window_offsets_ns", offsets)
 
     def offsets_ns(self) -> np.ndarray:
-        if self.window_offsets_ns is not None:
-            return np.asarray(self.window_offsets_ns)
         return np.arange(self.n_detector_bins) * self.bin_period_ns
 
     def window_edges_ps(self, t0_ps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -167,10 +150,6 @@ class OutcomeMatrix:
         object.__setattr__(self, "n_pulses", pulses)
 
     @property
-    def n_probes(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_outcomes(self) -> int:
         return self.values.shape[1]
 
@@ -201,25 +180,30 @@ def histogram_from_bin_counts(
     bin_counts,
     cfg: BinningConfig,
     bin_width_ps: float = 10.0,
-    t0_ps: float | None = None,
     n_raw_bins: int | None = None,
 ) -> TimeTagHistogram:
     """Synthesize a raw histogram holding the given per-window totals.
 
     Counts are placed at the central raw bin of each window, so
-    integrate_histogram recovers them bit-exactly. Default t0 centers the
-    first window right at the start of the histogram axis.
+    integrate_histogram recovers them bit-exactly. t0 puts the left edge of
+    the first window at the start of the histogram axis, and the default
+    length is the shortest that holds the last window and one more bin.
     """
     bin_counts = np.asarray(bin_counts, dtype=np.int64)
     if bin_counts.size != cfg.n_detector_bins:
         raise ConfigError(
             f"{bin_counts.size} totals for {cfg.n_detector_bins} windows"
         )
-    if t0_ps is None:
-        t0_ps = cfg.window_width_ns * 500.0
-    left, right = cfg.window_edges_ps(t0_ps)
+    # written so that NaN fails the check
+    if not 0 < bin_width_ps < np.inf:
+        raise ConfigError(f"bin_width_ps must be finite and > 0, got {bin_width_ps}")
+    t0_ps = cfg.window_width_ns * 500.0
+    _, right = cfg.window_edges_ps(t0_ps)
+    needed = int(np.ceil(right.max() / bin_width_ps)) + 1
     if n_raw_bins is None:
-        n_raw_bins = int(np.ceil(right.max() / bin_width_ps)) + 1
+        n_raw_bins = needed
+    elif n_raw_bins < needed:
+        raise ConfigError(f"{n_raw_bins} raw bins, fewer than the {needed} needed")
     counts = np.zeros(n_raw_bins, dtype=np.int64)
     centers = t0_ps + cfg.offsets_ns() * 1000.0
     k = np.round(centers / bin_width_ps - 0.5).astype(int)

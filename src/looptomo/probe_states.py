@@ -24,6 +24,9 @@ ROW_COMPLETENESS_TOL = 1e-9
 #: Smallest normal double; poisson_pmf returns 0 below it.
 _TINY = np.finfo(float).tiny
 
+#: Half-width of poisson_window in standard deviations.
+_WINDOW_SIGMAS = 8.0
+
 
 def _stirling_correction(n: np.ndarray) -> np.ndarray:
     """ln n! - [n ln n - n + 0.5 ln(2 pi n)] for n >= 1, to ~1e-16 absolute."""
@@ -98,62 +101,53 @@ def poisson_row(mean_photon: float, truncation_dim: int) -> np.ndarray:
     return poisson_pmf(np.arange(truncation_dim + 1), mean_photon)
 
 
-def poisson_window(mean_photon: float, tail_sigmas: float) -> tuple[int, int]:
-    """Photon numbers [lo, hi] holding a Poisson row's mass: tail_sigmas
+def poisson_window(mean_photon: float) -> tuple[int, int]:
+    """Photon numbers [lo, hi] holding a Poisson row's mass: _WINDOW_SIGMAS
     standard deviations about the mean, padded by 32 so small means stay exact."""
-    spread = tail_sigmas * math.sqrt(mean_photon)
+    spread = _WINDOW_SIGMAS * math.sqrt(mean_photon)
     lo = max(0, math.floor(mean_photon - spread))
     return lo, math.ceil(mean_photon + spread) + 32
 
 
-def default_truncation(max_mean: float, tail_sigmas: float = 6.0) -> int:
-    """Truncation that keeps tail_sigmas standard deviations above max_mean."""
-    if max_mean < 0:
-        raise ValueError(f"max_mean must be >= 0, got {max_mean}")
-    return math.ceil(max_mean + tail_sigmas * math.sqrt(max_mean))
-
-
-@dataclass(frozen=True)
-class CoherentProbe:
-    """One probe: a coherent state of known mean photon number."""
-
-    mean_photon: float
-    label: int = 0
-
-    def __post_init__(self):
-        if self.mean_photon < 0:
-            raise ValueError(f"mean_photon must be >= 0, got {self.mean_photon}")
-
-
 @dataclass(frozen=True)
 class ProbeEnsemble:
-    """Ordered set of coherent probes plus the shared truncation dimension."""
+    """Coherent probes, given by their mean photon numbers in probe order,
+    plus the shared truncation dimension.
 
-    probes: tuple[CoherentProbe, ...]
-    truncation_dim: int
+    Without a truncation dimension the ensemble takes the smallest one that
+    keeps ``tail_sigmas`` standard deviations above its largest mean.
+    """
+
+    means: np.ndarray
+    truncation_dim: int | None = None
     tail_sigmas: float = 6.0
 
     def __post_init__(self):
-        if not self.probes:
+        means = np.array(self.means, dtype=float)
+        if means.ndim != 1 or means.size == 0:
             raise ConfigError("probe ensemble must contain at least one probe")
-        object.__setattr__(self, "probes", tuple(self.probes))
-        needed = default_truncation(self.max_mean, self.tail_sigmas)
-        if self.truncation_dim < needed:
+        bad = means[~(np.isfinite(means) & (means >= 0))]
+        if bad.size:
+            raise ValueError(f"mean_photon must be finite and >= 0, got {bad[0]}")
+        # written so that NaN fails the check
+        if not 0 <= self.tail_sigmas < np.inf:
+            raise ConfigError(
+                f"tail_sigmas must be finite and >= 0, got {self.tail_sigmas}"
+            )
+        means.flags.writeable = False
+        object.__setattr__(self, "means", means)
+        top = float(means.max())
+        needed = math.ceil(top + self.tail_sigmas * math.sqrt(top))
+        if self.truncation_dim is None:
+            object.__setattr__(self, "truncation_dim", needed)
+        elif self.truncation_dim < needed:
             raise ConfigError(
                 f"truncation_dim {self.truncation_dim} below "
                 f"{needed} = max_mean + {self.tail_sigmas} sigma"
             )
 
-    @property
-    def max_mean(self) -> float:
-        return max(p.mean_photon for p in self.probes)
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([p.mean_photon for p in self.probes])
-
     def __len__(self) -> int:
-        return len(self.probes)
+        return self.means.size
 
     @classmethod
     def from_means(
@@ -162,14 +156,8 @@ class ProbeEnsemble:
         truncation_dim: int | None = None,
         tail_sigmas: float = 6.0,
     ) -> "ProbeEnsemble":
-        probes = tuple(CoherentProbe(float(m), d) for d, m in enumerate(means))
-        if not probes:
-            raise ConfigError("probe ensemble must contain at least one probe")
-        if truncation_dim is None:
-            truncation_dim = default_truncation(
-                max(p.mean_photon for p in probes), tail_sigmas
-            )
-        return cls(probes, truncation_dim, tail_sigmas)
+        """The ensemble of the given means; the same as the constructor."""
+        return cls(means, truncation_dim, tail_sigmas)
 
     @classmethod
     def quadratic(
@@ -183,9 +171,7 @@ class ProbeEnsemble:
         The default truncation 5328 reproduces the standard 71-probe set;
         pass ``truncation_dim=None`` to fall back to the 6-sigma formula.
         """
-        return cls.from_means(
-            [float(d * d) for d in range(count)], truncation_dim, tail_sigmas
-        )
+        return cls(np.arange(count, dtype=float) ** 2, truncation_dim, tail_sigmas)
 
 
 @dataclass(frozen=True)
@@ -212,14 +198,6 @@ class ProbeMatrix:
         means.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mean_photons", means)
-
-    @property
-    def n_probes(self) -> int:
-        return self.values.shape[0]
-
-    def row_deficits(self) -> np.ndarray:
-        """1 - sum of each row: probability mass lost to truncation."""
-        return 1.0 - self.values.sum(axis=1)
 
 
 def build_probe_matrix(ensemble: ProbeEnsemble) -> ProbeMatrix:

@@ -62,8 +62,9 @@ class SmoothingConfig:
     max_iterations: int = 20000
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
+        # written so that NaN fails the check
+        if not 0 <= self.epsilon < np.inf:
+            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
 
@@ -507,6 +508,10 @@ def reconstruct(
         )
     if not (np.isfinite(F).all() and np.isfinite(P).all()):
         raise DataError("probe and outcome matrices must be finite")
+    if not 0 <= support_threshold < np.inf:
+        raise ConfigError(
+            f"support_threshold must be finite and >= 0, got {support_threshold}"
+        )
     t_start = time.perf_counter()
     can_polish = (F.shape[1] * P.shape[1]) <= _POLISH_MAX_ENTRIES
     admm_cap = (

@@ -70,6 +70,18 @@ class TestSimulate:
         for name in ("manifest.json", "hist_000.csv", "hist_005.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_manifest_labels_are_probe_indices(self, tmp_path):
+        fileio.save_params(PARAMS, tmp_path / "params.json")
+        fileio.save_ensemble(ProbeEnsemble.from_means([4.0, 1.0], truncation_dim=30),
+                             tmp_path / "two.json")
+        code = main(["simulate", "--params", str(tmp_path / "params.json"),
+                     "--ensemble", str(tmp_path / "two.json"), "--pulses", "100",
+                     "--out-dir", str(tmp_path / "data")])
+        assert code == 0
+        text = (tmp_path / "data" / "manifest.json").read_text()
+        assert '"label": 0,\n      "mean_photon": 4.0' in text
+        assert '"label": 1,\n      "mean_photon": 1.0' in text
+
     def test_missing_params_file(self, workspace):
         tmp_path, _, ensemble_path = workspace
         code = main(
@@ -248,6 +260,17 @@ class TestPipeline:
         curve = povm_path.with_suffix(".lcurve.csv").read_text().splitlines()
         assert curve[0] == "epsilon,residual,smoothness,objective"
         assert len(curve) == 4
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--support-threshold"])
+    def test_nan_setting_is_config_error(self, workspace, flag):
+        ws, _, ensemble_path = workspace
+        data = _simulate(workspace, pulses=5_000, out="nandata")
+        povm_path = ws / "nan_povm.csv"
+        args = ["reconstruct", "--manifest", str(data / "manifest.json"),
+                "--ensemble", str(ensemble_path), "--epsilon", "1e-4",
+                flag, "nan", "--allow-unconverged", "--out", str(povm_path)]
+        assert main(args) == 2
+        assert not povm_path.exists()
 
     def test_default_sweep_reuses_the_corner_solve(self, workspace, monkeypatch):
         # the corner is one of the swept epsilons, solved with the same
@@ -484,6 +507,8 @@ class TestMoreSurfaces:
 _POVM_2 = "fock_index,outcome_0,outcome_1,supported\n0,1,0,1\n1,0.5,0.5,1\n"
 _RECONSTRUCT = ["reconstruct", "--manifest", "m.json", "--ensemble", "ens.json",
                 "--epsilon", "1e-4", "--out", "out"]
+_SIMULATE = ["simulate", "--params", "params.json", "--ensemble", "ens.json",
+             "--pulses", "100", "--out-dir", "out"]
 _ESTIMATE_HIST = ["estimate", "--params", "params.json", "--histogram", "h.json",
                   "--pulses", "100", "--out", "out"]
 _ESTIMATE_HIST2 = ["estimate", "--params", "params2.json", "--histogram", "h.json",
@@ -531,6 +556,15 @@ FUZZ_TABLE = [
                   "--out-dir", "out"],
                  {"e.json": '{"probes": [{"mean_photon": 1}], "truncation_dim": "x"}'},
                  2, id="ensemble-truncation-text"),
+    pytest.param(_SIMULATE, {"ens.json": '{"probes": [{"mean_photon": Infinity}]}'},
+                 3, id="ensemble-mean-infinite"),
+    pytest.param(_SIMULATE, {"ens.json": '{"probes": [{"mean_photon": 1}],'
+                                         ' "tail_sigmas": Infinity}'},
+                 2, id="ensemble-tail-sigmas-infinite"),
+    pytest.param([*_SIMULATE, "--raw-bins", "10"], {}, 2, id="simulate-raw-bins-short"),
+    pytest.param([*_SIMULATE, "--bin-width-ps", "0"], {}, 2, id="simulate-bin-width-0"),
+    pytest.param([*_SIMULATE, "--bin-width-ps", "-10"], {}, 2,
+                 id="simulate-bin-width-negative"),
     pytest.param(["fit", "--povm", "p.csv", "--bins", "1", "--out", "out"],
                  {"p.csv": _POVM_2.replace(",1\n", ",2\n")}, 3, id="support-flag-2"),
     pytest.param(["estimate", "--params", "params2.json", "--outcome-dist", "d.csv",

@@ -6,8 +6,6 @@ from looptomo import (
     ConfigError,
     LoopParams,
     POVMSet,
-    bin_click_prob_coherent,
-    bin_click_prob_fock,
     build_model_povm,
     coherent_bin_probs,
     per_photon_bin_probs,
@@ -17,7 +15,11 @@ from looptomo import (
     simulate_bin_clicks,
     simulate_bin_totals,
 )
-from looptomo.detector_model import fock_sum_bin_prob, model_povm_rows
+from looptomo.detector_model import (
+    fock_bin_prob_rows,
+    fock_sum_bin_prob,
+    model_povm_rows,
+)
 
 DEVICE = LoopParams(
     reflectivity=0.89613,
@@ -50,15 +52,18 @@ class TestPerPhotonBinProbs:
         np.testing.assert_allclose(q[2:] / q[1:-1], ratio, rtol=1e-13)
 
 
-class TestBinClickProbFock:
+def _fock_click(j, i):
+    """Click probability of bin j (1-based) for i photons."""
+    return fock_bin_prob_rows(DEVICE, np.array([i]))[0, j - 1]
+
+
+class TestFockBinProbRows:
     def test_zero_photons_never_click(self):
         for j in range(1, 11):
-            assert bin_click_prob_fock(DEVICE, j, 0) == 0.0
+            assert _fock_click(j, 0) == 0.0
 
     def test_single_photon_first_bin(self):
-        assert bin_click_prob_fock(DEVICE, 1, 1) == pytest.approx(
-            0.89613 * 0.4912, rel=1e-14
-        )
+        assert _fock_click(1, 1) == pytest.approx(0.89613 * 0.4912, rel=1e-14)
 
     def test_matches_direct_formula_transcription(self):
         # independent evaluation of both branches
@@ -66,40 +71,33 @@ class TestBinClickProbFock:
         j, i = 3, 10
         qj = (1 - r) ** 2 * ed / r * (r * el) ** (j - 1)
         expected = 1.0 - (1.0 - qj) ** i
-        assert bin_click_prob_fock(DEVICE, j, i) == pytest.approx(expected, abs=1e-14)
+        assert _fock_click(j, i) == pytest.approx(expected, abs=1e-14)
 
     def test_monotone_in_photon_number(self):
+        rows = fock_bin_prob_rows(DEVICE, np.arange(0, 200, 7))
         for j in (1, 4, 10):
-            vals = [bin_click_prob_fock(DEVICE, j, i) for i in range(0, 200, 7)]
-            assert np.all(np.diff(vals) >= 0)
-
-    def test_bad_bin_index(self):
-        with pytest.raises(ValueError):
-            bin_click_prob_fock(DEVICE, 0, 1)
-        with pytest.raises(ValueError):
-            bin_click_prob_fock(DEVICE, 11, 1)
+            assert np.all(np.diff(rows[:, j - 1]) >= 0)
 
 
-class TestBinClickProbCoherent:
+class TestCoherentBinProbs:
     def test_vacuum(self):
-        assert bin_click_prob_coherent(DEVICE, 0.0, 1) == 0.0
+        assert coherent_bin_probs(DEVICE, 0.0)[0] == 0.0
 
     def test_unit_mean_first_bin(self):
         q1 = 0.89613 * 0.4912
         expected = 1.0 - np.exp(-q1)
-        assert bin_click_prob_coherent(DEVICE, 1.0, 1) == pytest.approx(
-            expected, rel=1e-14
-        )
+        analytic = coherent_bin_probs(DEVICE, 1.0)[0]
+        assert analytic == pytest.approx(expected, rel=1e-14)
         # Fock-sum oracle with wide window
         oracle = fock_sum_bin_prob(DEVICE, 1.0, 1)
-        assert abs(bin_click_prob_coherent(DEVICE, 1.0, 1) - oracle) < 1e-10
+        assert abs(analytic - oracle) < 1e-10
 
     @pytest.mark.parametrize("mu", [0.1, 1.0, 10.0, 100.0, 4900.0])
     def test_poisson_mixture_shortcut(self, mu):
+        analytic = coherent_bin_probs(DEVICE, mu)
         for j in (1, 2, 5, 10):
-            analytic = bin_click_prob_coherent(DEVICE, mu, j)
             oracle = fock_sum_bin_prob(DEVICE, mu, j)
-            assert abs(analytic - oracle) < 1e-8
+            assert abs(analytic[j - 1] - oracle) < 1e-8
 
 
 class TestPoissonBinomialBruteforce:
@@ -201,7 +199,7 @@ class TestFockOutcomeDistribution:
             )
 
     def test_hundred_photons_vs_bruteforce(self):
-        probs = [bin_click_prob_fock(DEVICE, j, 100) for j in range(1, 11)]
+        probs = fock_bin_prob_rows(DEVICE, np.array([100]))[0]
         dist = model_povm_rows(DEVICE, np.array([100]))[0]
         for n in range(11):
             assert abs(dist[n] - poisson_binomial_bruteforce(probs, n)) < 1e-10
@@ -240,11 +238,6 @@ class TestBuildModelPovm:
         povm = build_model_povm(DEVICE.with_bins(49), 20000)
         peaks = [int(np.argmax(povm.theta[:, n])) for n in range(1, 11)]
         assert all(b > a for a, b in zip(peaks[:-1], peaks[1:]))
-
-    def test_chunking_is_invisible(self):
-        a = build_model_povm(DEVICE, 403, chunk_rows=64)
-        b = build_model_povm(DEVICE, 403, chunk_rows=100_000)
-        np.testing.assert_array_equal(a.theta, b.theta)
 
 
 @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan]])

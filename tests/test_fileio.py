@@ -60,6 +60,27 @@ class TestEnsembleRoundTrip:
         np.testing.assert_array_equal(back.means, ens.means)
         assert back.truncation_dim == 30
 
+    def test_saved_bytes(self, tmp_path):
+        path = tmp_path / "ens.json"
+        ens = ProbeEnsemble.from_means([0.0, 4.0, 9.0], truncation_dim=40)
+        fileio.save_ensemble(ens, path)
+        assert path.read_text() == (
+            '{\n  "probes": [\n'
+            '    {\n      "label": 0,\n      "mean_photon": 0.0\n    },\n'
+            '    {\n      "label": 1,\n      "mean_photon": 4.0\n    },\n'
+            '    {\n      "label": 2,\n      "mean_photon": 9.0\n    }\n'
+            '  ],\n  "truncation_dim": 40,\n  "tail_sigmas": 6.0\n}\n'
+        )
+
+    def test_labels_are_rewritten_as_the_probe_index(self, tmp_path):
+        path = tmp_path / "ens.json"
+        path.write_text('{"probes": [{"label": 7, "mean_photon": 1.0},'
+                        ' {"label": 3, "mean_photon": 2.0}], "truncation_dim": 30}')
+        fileio.save_ensemble(fileio.load_ensemble(path), tmp_path / "back.json")
+        probes = json.loads((tmp_path / "back.json").read_text())["probes"]
+        assert probes == [{"label": 0, "mean_photon": 1.0},
+                          {"label": 1, "mean_photon": 2.0}]
+
     def test_bare_list_accepted(self, tmp_path):
         path = tmp_path / "ens.json"
         path.write_text('[{"label": 0, "mean_photon": 0.0},'

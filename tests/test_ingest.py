@@ -69,17 +69,11 @@ class TestIntegrateHistogram:
             integrate_histogram(hist, CFG)  # 10 windows need ~1.4e5 bins
 
     def test_overlapping_windows_rejected(self):
-        cfg = BinningConfig(n_detector_bins=3, window_offsets_ns=(0.0, 1.0, 2.0))
+        # 2 ns windows 1 ns apart
+        cfg = BinningConfig(n_detector_bins=3, window_width_ns=2.0, bin_period_ns=1.0)
         hist = TimeTagHistogram(np.zeros(10_000, dtype=int), 10.0, 1000.0)
         with pytest.raises(ConfigError):
             integrate_histogram(hist, cfg)
-
-    def test_explicit_offsets_override(self):
-        cfg = BinningConfig(n_detector_bins=2, window_offsets_ns=(0.0, 50.0))
-        counts = np.zeros(10_000, dtype=int)
-        counts[5_100] = 4  # 51 ns = t0 + 50 ns offset
-        hist = TimeTagHistogram(counts, 10.0, 1000.0)
-        np.testing.assert_array_equal(integrate_histogram(hist, cfg), [0, 4])
 
 
 class TestBinProbabilities:
@@ -179,3 +173,16 @@ class TestHistogramSynthesis:
     def test_wrong_totals_length(self):
         with pytest.raises(ConfigError):
             histogram_from_bin_counts(np.zeros(3, dtype=int), CFG)
+
+    @pytest.mark.parametrize("width", [0.0, -10.0, np.nan, np.inf])
+    def test_bad_bin_width_rejected(self, width):
+        with pytest.raises(ConfigError):
+            histogram_from_bin_counts(np.zeros(10, dtype=int), CFG, bin_width_ps=width)
+
+    def test_raw_bins_below_default_length_rejected(self):
+        ones = np.ones(10, dtype=int)
+        needed = histogram_from_bin_counts(ones, CFG).counts.size
+        hist = histogram_from_bin_counts(ones, CFG, n_raw_bins=needed)
+        assert integrate_histogram(hist, CFG).sum() == 10
+        with pytest.raises(ConfigError):
+            histogram_from_bin_counts(ones, CFG, n_raw_bins=needed - 1)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from looptomo import (
-    CoherentProbe,
     ConfigError,
     ProbeEnsemble,
     build_probe_matrix,
-    default_truncation,
     poisson_pmf,
     poisson_row,
 )
@@ -66,14 +64,18 @@ class TestPoissonRow:
 
 
 class TestDefaultTruncation:
+    @staticmethod
+    def _truncation(max_mean):
+        return ProbeEnsemble.from_means([max_mean], tail_sigmas=6.0).truncation_dim
+
     def test_vacuum(self):
-        assert default_truncation(0.0, 6.0) == 0
+        assert self._truncation(0.0) == 0
 
     def test_largest_probe(self):
-        assert default_truncation(4900.0, 6.0) == 5320  # 4900 + 6*70
+        assert self._truncation(4900.0) == 5320  # 4900 + 6*70
 
     def test_round_number(self):
-        assert default_truncation(100.0, 6.0) == 160
+        assert self._truncation(100.0) == 160
 
 
 class TestProbeEnsemble:
@@ -89,11 +91,12 @@ class TestProbeEnsemble:
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            ProbeEnsemble(probes=(), truncation_dim=10)
+            ProbeEnsemble(means=(), truncation_dim=10)
 
     def test_negative_mean_rejected(self):
+        # rejected before the default truncation is derived from the means
         with pytest.raises(ValueError):
-            CoherentProbe(-1.0, 0)
+            ProbeEnsemble.from_means([0.0, -1.0])
 
 
 class TestBuildProbeMatrix:
@@ -122,7 +125,7 @@ class TestBuildProbeMatrix:
     def test_row_completeness_within_1e9(self):
         # the 6-sigma rule with the 5328 override keeps every tail below 1e-9
         mat = build_probe_matrix(ProbeEnsemble.quadratic())
-        assert mat.row_deficits().max() <= 1e-9
+        assert (1.0 - mat.values.sum(axis=1)).max() <= 1e-9
 
     def test_marginal_truncation_warns(self):
         # at exactly 6 sigma a mid-range mean keeps more than 1e-9 in the tail

@@ -1,5 +1,7 @@
 """Property tests: invariants checked on generated inputs, not single cases."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from looptomo import (
     project_rows_to_simplex,
 )
 from looptomo.model_fit import _search_positions
-from looptomo.probe_states import poisson_pmf, poisson_row, poisson_window
+from looptomo.probe_states import poisson_pmf, poisson_row
 from looptomo.tomography import _active_set_qp, _fw_gap, _objective
 from test_tomography import dense_kkt_qp, random_qp, sort_projection
 
@@ -406,7 +408,9 @@ def test_integration_recovers_synthesized_window_totals(
 def test_poisson_pmf_matches_mpmath(log_mean):
     mpmath = pytest.importorskip("mpmath")
     mean = 10.0 ** log_mean
-    lo, hi = poisson_window(mean, 6.0)
+    # six standard deviations about the mean, padded by 32
+    spread = 6.0 * math.sqrt(mean)
+    lo, hi = max(0, math.floor(mean - spread)), math.ceil(mean + spread) + 32
     counts = np.unique(np.linspace(lo, hi, 40).round().astype(np.int64))
     with mpmath.workdps(40):
         mu = mpmath.mpf(mean)

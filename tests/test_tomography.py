@@ -159,6 +159,14 @@ class TestReconstruct:
         with pytest.raises(ConfigError):
             reconstruct(np.ones((3, 5)), np.ones((4, 2)) / 2, SmoothingConfig(1e-4))
 
+    @pytest.mark.parametrize("value", [-1e-4, np.nan, np.inf])
+    def test_bad_epsilon_and_threshold_rejected(self, value):
+        f_mat, p_mat, _, _ = small_problem()
+        with pytest.raises(ConfigError):
+            SmoothingConfig(epsilon=value)
+        with pytest.raises(ConfigError):
+            reconstruct(f_mat, p_mat, SmoothingConfig(1e-4), support_threshold=value)
+
     def test_accepts_probe_matrix_wrapper(self):
         f_mat, p_mat, _, means = small_problem()
         wrapper = ProbeMatrix(f_mat, means, 60)
