@@ -21,7 +21,7 @@ from .detector_model import (
     simulate_bin_clicks,
     simulate_bin_totals,
 )
-from .errors import CompetingBasinError, ConfigError, DataError, MemoryBudgetError
+from .errors import CompetingBasinError, ConfigError, DataError
 from .estimation import (
     BrightStateEstimate,
     crosscheck_fock_path,
@@ -37,13 +37,7 @@ from .ingest import (
     integrate_histogram,
     outcome_probabilities,
 )
-from .model_fit import (
-    FitResult,
-    default_starts,
-    extrapolate_povm,
-    fit_params,
-    iter_extrapolated_rows,
-)
+from .model_fit import FitResult, default_starts, extrapolate_povm, fit_params
 from .probe_states import (
     ProbeEnsemble,
     ProbeMatrix,

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import (detector_model, estimation, fileio, ingest, model_fit,
                probe_states, tomography)
-from .errors import ConfigError, DataError, MemoryBudgetError
+from .errors import ConfigError, DataError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,8 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--params")
     ext.add_argument("--outcomes", type=int, required=True)
     ext.add_argument("--hilbert-dim", type=int, required=True)
-    ext.add_argument("--memory-budget-mb", type=int, default=2048)
-    ext.add_argument("--chunk-rows", type=int, default=65536)
     ext.add_argument("--out", required=True)
 
     est = sub.add_parser("estimate", help="bright-state mean photon number")
@@ -150,6 +148,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    # uncertainty_band's own check would come after the solve wrote its files
+    if args.mc_band != 0 and args.mc_band < 2:
+        raise ConfigError(f"n_mc must be >= 2, got {args.mc_band}")
     ensemble = fileio.load_ensemble(args.ensemble)
     doc = fileio.load_manifest(args.manifest)
     base = Path(args.manifest).parent
@@ -250,24 +251,9 @@ def _load_loop_params(args):
 
 def _cmd_extrapolate(args) -> int:
     params = _load_loop_params(args)
-    budget = args.memory_budget_mb * (1 << 20)
-    out = Path(args.out)
-    try:
-        povm = model_fit.extrapolate_povm(
-            params, args.outcomes, args.hilbert_dim, memory_budget_bytes=budget
-        )
-        fileio.save_povm_csv(povm, out)
-        print(f"extrapolated POVM ({povm.truncation_dim + 1} rows) -> {out}")
-    except MemoryBudgetError:
-        n_files = 0
-        for start, rows in model_fit.iter_extrapolated_rows(
-            params, args.outcomes, args.hilbert_dim, chunk_rows=args.chunk_rows
-        ):
-            stop = start + rows.shape[0] - 1
-            part = out.with_suffix(f".rows{start}-{stop}.csv")
-            fileio.save_povm_rows_csv(rows, start, part)
-            n_files += 1
-        print(f"memory budget exceeded; streamed {n_files} row-chunk files")
+    povm = model_fit.extrapolate_povm(params, args.outcomes, args.hilbert_dim)
+    fileio.save_povm_csv(povm, args.out)
+    print(f"extrapolated POVM ({povm.truncation_dim + 1} rows) -> {args.out}")
     return EXIT_OK
 
 

@@ -9,9 +9,5 @@ class DataError(Exception):
     """Data that cannot be valid: counts above pulse number, unnormalized inputs."""
 
 
-class MemoryBudgetError(ConfigError):
-    """Requested dense output exceeds the memory budget; use the streaming API."""
-
-
 class CompetingBasinError(DataError, RuntimeError):
     """Outcome data fit two distinct coherent states about equally well."""

@@ -30,7 +30,7 @@ from .detector_model import (
     per_photon_bin_probs,
     poisson_binomial_rows,
 )
-from .errors import CompetingBasinError, DataError
+from .errors import CompetingBasinError, ConfigError, DataError
 from .probe_states import poisson_pmf, poisson_window
 
 DEFAULT_MU_BOUNDS = (1e-3, 1e9)
@@ -212,6 +212,8 @@ def estimate_mean_photon(
     (reflected) interval, which is the reported confidence interval;
     without a bootstrap the confidence interval is None.
     """
+    if n_bootstrap < 0:
+        raise ConfigError(f"n_bootstrap must be >= 0, got {n_bootstrap}")
     p_obs = np.asarray(p_outcomes, dtype=float)
     if p_obs.shape != (params.n_outcomes,):
         raise DataError(

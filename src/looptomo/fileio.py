@@ -450,16 +450,6 @@ def save_povm_csv(povm: POVMSet, path) -> None:
                np.arange(rows), povm.theta, supported)
 
 
-def save_povm_rows_csv(rows: np.ndarray, first_index: int, path) -> None:
-    """One streamed block of POVM rows, numbered from first_index.
-
-    The block format of ``looptomo extrapolate`` over its memory budget:
-    the POVM CSV columns without the support flag.
-    """
-    _write_csv(path, _outcome_header("fock_index", rows.shape[1]),
-               np.arange(first_index, first_index + len(rows)), rows)
-
-
 def load_povm_csv(path) -> POVMSet:
     cells, body = _read_csv(path, "fock_index,outcome_0", "a POVM CSV")
     if cells[-1] != "supported":

@@ -39,8 +39,13 @@ class TimeTagHistogram:
             raise ConfigError("histogram counts must be a non-empty vector")
         if np.any(counts < 0):
             raise DataError("histogram counts must be non-negative")
-        if self.bin_width_ps <= 0:
-            raise ConfigError(f"bin_width_ps must be > 0, got {self.bin_width_ps}")
+        # written so that NaN fails
+        if not 0 < self.bin_width_ps < np.inf:
+            raise ConfigError(
+                f"bin_width_ps must be finite and > 0, got {self.bin_width_ps}"
+            )
+        if not np.isfinite(self.t0_ps):
+            raise ConfigError(f"t0_ps must be finite, got {self.t0_ps}")
         counts = counts.astype(np.int64)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)

@@ -15,9 +15,10 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .detector_model import LoopParams, POVMSet, build_model_povm, model_povm_rows
-from .errors import ConfigError, MemoryBudgetError
+from .errors import ConfigError
 
-DEFAULT_MEMORY_BUDGET_BYTES = 2 << 30
+#: Largest dense POVM, in bytes, that :func:`extrapolate_povm` builds.
+MAX_POVM_BYTES = 2 << 30
 
 # reflectivity is strictly interior; efficiencies may reach 0 and 1
 _PARAM_BOUNDS = (np.array([1e-3, 0.0, 0.0]), np.array([1.0 - 1e-3, 1.0, 1.0]))
@@ -183,39 +184,21 @@ def fit_params(
 
 
 def extrapolate_povm(
-    params: LoopParams,
-    n_outcomes: int,
-    truncation_dim: int,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
+    params: LoopParams, n_outcomes: int, truncation_dim: int
 ) -> POVMSet:
     """Model POVM for the fitted parameters at arbitrary outcome count.
 
-    Delegates to the forward model with n_bins = n_outcomes - 1. When the
-    dense matrix would exceed the memory budget the call is refused; use
-    :func:`iter_extrapolated_rows` to stream row blocks instead.
+    Delegates to the forward model with n_bins = n_outcomes - 1. A request
+    whose dense matrix would exceed ``MAX_POVM_BYTES`` (2 GiB) is refused
+    with a ConfigError before anything is allocated.
     """
     if n_outcomes < 1:
         raise ConfigError(f"n_outcomes must be >= 1, got {n_outcomes}")
+    if truncation_dim < 0:
+        raise ConfigError(f"truncation_dim must be >= 0, got {truncation_dim}")
     need = 8 * (truncation_dim + 1) * n_outcomes
-    if need > memory_budget_bytes:
-        raise MemoryBudgetError(
-            f"dense POVM needs {need} bytes, budget is {memory_budget_bytes}; "
-            "stream it with iter_extrapolated_rows"
+    if need > MAX_POVM_BYTES:
+        raise ConfigError(
+            f"dense POVM needs {need} bytes, the limit is {MAX_POVM_BYTES}"
         )
     return build_model_povm(params.with_bins(n_outcomes - 1), truncation_dim)
-
-
-def iter_extrapolated_rows(
-    params: LoopParams,
-    n_outcomes: int,
-    truncation_dim: int,
-    chunk_rows: int = 65536,
-):
-    """Yield (first_index, rows) blocks of the extrapolated POVM."""
-    if n_outcomes < 1:
-        raise ConfigError(f"n_outcomes must be >= 1, got {n_outcomes}")
-    p = params.with_bins(n_outcomes - 1)
-    total = truncation_dim + 1
-    for start in range(0, total, chunk_rows):
-        stop = min(start + chunk_rows, total)
-        yield start, model_povm_rows(p, np.arange(start, stop))

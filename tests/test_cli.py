@@ -1,7 +1,9 @@
+import argparse
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from looptomo import (
     fileio,
     tomography,
 )
-from looptomo.cli import DEFAULT_SWEEP, main
+from looptomo.cli import DEFAULT_SWEEP, _build_parser, main
 
 PARAMS = LoopParams(0.89613, 0.9064, 0.4912, 10)
 
@@ -157,24 +159,6 @@ class TestPipeline:
         series = sorted(plots.glob("outcome_*.csv"))
         assert len(series) == 12
 
-    def test_extrapolate_streams_over_budget(self, artifacts):
-        ws, params_path, _, _, _ = artifacts
-        ext_path = ws / "big.csv"
-        code = main(
-            [
-                "extrapolate",
-                "--params", str(params_path),
-                "--outcomes", "11",
-                "--hilbert-dim", "5000",
-                "--memory-budget-mb", "0",
-                "--chunk-rows", "2048",
-                "--out", str(ext_path),
-            ]
-        )
-        assert code == 0
-        parts = sorted(ws.glob("big.rows*.csv"))
-        assert len(parts) == 3  # 5001 rows in 2048-row chunks
-
     def test_estimate_from_histogram(self, artifacts):
         ws, params_path, ensemble_path, data, _ = artifacts
         # bright single-probe run through the same detector
@@ -271,6 +255,17 @@ class TestPipeline:
                 flag, "nan", "--allow-unconverged", "--out", str(povm_path)]
         assert main(args) == 2
         assert not povm_path.exists()
+
+    @pytest.mark.parametrize("draws", ["-2", "1"])
+    def test_mc_band_below_two_is_config_error(self, workspace, draws):
+        ws, _, ensemble_path = workspace
+        data = _simulate(workspace, pulses=5_000, out="mcdata")
+        povm_path = ws / "mc_povm.csv"
+        args = ["reconstruct", "--manifest", str(data / "manifest.json"),
+                "--ensemble", str(ensemble_path), "--epsilon", "1e-4",
+                "--mc-band", draws, "--out", str(povm_path)]
+        assert main(args) == 2
+        assert list(ws.glob("mc_povm*")) == []
 
     def test_default_sweep_reuses_the_corner_solve(self, workspace, monkeypatch):
         # the corner is one of the swept epsilons, solved with the same
@@ -513,14 +508,23 @@ _ESTIMATE_HIST = ["estimate", "--params", "params.json", "--histogram", "h.json"
                   "--pulses", "100", "--out", "out"]
 _ESTIMATE_HIST2 = ["estimate", "--params", "params2.json", "--histogram", "h.json",
                    "--pulses", "100", "--out", "out"]
+_ESTIMATE_CSV = ["estimate", "--params", "params2.json", "--histogram", "h.csv",
+                 "--pulses", "100", "--out", "out"]
 
 
-def _hist_json(last_count: str) -> str:
+def _hist_json(last_count: str, bin_width: str = "1000") -> str:
     """A histogram JSON that _ESTIMATE_HIST2 accepts when last_count is an
     integer: 312 bins of 1 ns, i.e. two 156 ns detector bins."""
     counts = ", ".join(["5"] * 311 + [last_count])
-    return f'{{"counts": [{counts}], "bin_width_ps": 1000, "t0_ps": 78000}}'
+    return f'{{"counts": [{counts}], "bin_width_ps": {bin_width}, "t0_ps": 78000}}'
 
+
+def _hist_csv(values: str) -> str:
+    """A histogram CSV with the given values line and 312 counts of 5."""
+    return "bin_width_ps,t0_ps\n" + values + "\n" + "5\n" * 312
+
+
+_EXTRAPOLATE = ["extrapolate", "--params", "params.json", "--out", "out"]
 
 # malformed inputs; each once ended in a traceback, a wrong exit code or a
 # NaN result
@@ -542,6 +546,18 @@ FUZZ_TABLE = [
                  id="histogram-json-float-count"),
     pytest.param(_ESTIMATE_HIST2, {"h.json": _hist_json("true")}, 2,
                  id="histogram-json-boolean-count"),
+    pytest.param(_ESTIMATE_HIST2, {"h.json": _hist_json("5", "NaN")}, 2,
+                 id="histogram-json-nan-bin-width"),
+    pytest.param(_ESTIMATE_CSV, {"h.csv": _hist_csv("nan,1000")}, 2,
+                 id="histogram-csv-nan-bin-width"),
+    pytest.param(_ESTIMATE_CSV, {"h.csv": _hist_csv("10,nan")}, 2,
+                 id="histogram-csv-nan-t0"),
+    pytest.param([*_ESTIMATE_HIST2, "--bootstrap", "-3"], {"h.json": _hist_json("5")},
+                 2, id="estimate-bootstrap-negative"),
+    pytest.param([*_EXTRAPOLATE, "--outcomes", "300", "--hilbert-dim", "1000000"], {},
+                 2, id="extrapolate-over-size-limit"),
+    pytest.param([*_EXTRAPOLATE, "--outcomes", "12", "--hilbert-dim", "-1"], {},
+                 2, id="extrapolate-negative-hilbert-dim"),
     # None: the input path is a directory
     pytest.param(_ESTIMATE_HIST, {"h.json": None}, 2, id="histogram-directory"),
     pytest.param(_RECONSTRUCT, {"m.json": None}, 2, id="manifest-directory"),
@@ -724,3 +740,14 @@ class TestExitCodes:
         )
         assert out.returncode == 0
         assert "simulate" in out.stdout
+
+
+def test_readme_command_line_flags_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    accepted = {flag for sub in subparsers.choices.values()
+                for flag in sub._option_string_actions}
+    assert documented and not documented - accepted, documented - accepted

@@ -257,14 +257,6 @@ class TestPovmRoundTrip:
             "1,0.25,0.75,1\n"
             "2,0.10000000000000001,0.90000000000000002,0\n"
         )
-        part = tmp_path / "ext.rows2048-2050.csv"
-        fileio.save_povm_rows_csv(theta, 2048, part)
-        assert part.read_text() == (
-            "fock_index,outcome_0,outcome_1\n"
-            "2048,1,0\n"
-            "2049,0.25,0.75\n"
-            "2050,0.10000000000000001,0.90000000000000002\n"
-        )
 
     def test_float_round_trip_is_exact(self, params, tmp_path):
         # %.17g preserves doubles bit-exactly
@@ -295,8 +287,7 @@ class TestTableBytes:
         return POVMSet(theta, rng.random(3001) < 0.7)
 
     @pytest.mark.parametrize("block_lines", [2, 4096])
-    @pytest.mark.parametrize("artifact", ["povm", "povm_rows", "band",
-                                          "outcome_matrix"])
+    @pytest.mark.parametrize("artifact", ["povm", "band", "outcome_matrix"])
     def test_bytes_match_line_by_line_writer(
         self, tmp_path, monkeypatch, povm, block_lines, artifact
     ):
@@ -307,10 +298,6 @@ class TestTableBytes:
             fileio.save_povm_csv(povm, new)
             header = fileio._outcome_header("fock_index", 11) + ",supported"
             _line_by_line_table_csv(old, header, rows, theta, povm.supported)
-        elif artifact == "povm_rows":
-            fileio.save_povm_rows_csv(theta, 10**15 - 1000, new)
-            _line_by_line_table_csv(old, fileio._outcome_header("fock_index", 11),
-                                    rows + 10**15 - 1000, theta)
         elif artifact == "band":
             band = UncertaintyBand(theta * 0.9, np.minimum(theta * 1.1, 1.0), 2, 0.05)
             fileio.save_band(band, new)

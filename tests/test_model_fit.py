@@ -6,14 +6,13 @@ from looptomo import model_fit
 from looptomo import (
     ConfigError,
     LoopParams,
-    MemoryBudgetError,
     POVMSet,
     build_model_povm,
     default_starts,
     extrapolate_povm,
     fit_params,
-    iter_extrapolated_rows,
 )
+from looptomo import detector_model
 from looptomo.detector_model import model_povm_rows
 
 DEVICE = LoopParams(0.89613, 0.9064, 0.4912, 10)
@@ -245,15 +244,15 @@ class TestExtrapolate:
         assert povm.theta.shape == (3001, 50)
 
     def test_memory_guard(self):
-        with pytest.raises(MemoryBudgetError):
-            extrapolate_povm(DEVICE, 50, 10**6, memory_budget_bytes=10**6)
+        # 4 GB, refused before anything is allocated
+        with pytest.raises(ConfigError, match="dense POVM needs"):
+            extrapolate_povm(DEVICE, 50, 10**7)
 
-    def test_streamed_rows_match_dense(self):
-        dense = extrapolate_povm(DEVICE, 12, 700)
-        seen = np.empty_like(dense.theta)
-        for start, rows in iter_extrapolated_rows(DEVICE, 12, 700, chunk_rows=123):
-            seen[start : start + rows.shape[0]] = rows
-        np.testing.assert_array_equal(seen, dense.theta)
+    def test_chunking_is_invisible(self, monkeypatch):
+        monkeypatch.setattr(detector_model, "_POVM_CHUNK", 123)
+        params = DEVICE.with_bins(11)
+        chunked = build_model_povm(params, 700).theta
+        np.testing.assert_array_equal(chunked, model_povm_rows(params, np.arange(701)))
 
     def test_bad_outcome_count(self):
         with pytest.raises(ConfigError):

@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "DataError",
     "FitResult",
     "LoopParams",
-    "MemoryBudgetError",
     "OutcomeMatrix",
     "POVMSet",
     "ProbeEnsemble",
@@ -38,7 +37,6 @@ PUBLIC_NAMES = [
     "fit_params",
     "histogram_from_bin_counts",
     "integrate_histogram",
-    "iter_extrapolated_rows",
     "l_curve_corner",
     "outcome_probabilities",
     "per_photon_bin_probs",
