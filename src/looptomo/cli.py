@@ -101,6 +101,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
+    if args.pulses < 1:
+        raise ConfigError(f"n_pulses must be >= 1, got {args.pulses}")
+    # written so that NaN fails
+    if not 0 <= args.dark_prob < 1:
+        raise ConfigError(f"dark_prob must be in [0,1), got {args.dark_prob}")
     params = fileio.load_params(args.params)
     ensemble = fileio.load_ensemble(args.ensemble)
     out_dir = Path(args.out_dir)
@@ -151,6 +156,10 @@ def _cmd_reconstruct(args) -> int:
     # uncertainty_band's own check would come after the solve wrote its files
     if args.mc_band != 0 and args.mc_band < 2:
         raise ConfigError(f"n_mc must be >= 2, got {args.mc_band}")
+    if not 0 <= args.amplitude_err < np.inf:
+        raise ConfigError(
+            f"amplitude_rel_err must be finite and >= 0, got {args.amplitude_err}"
+        )
     ensemble = fileio.load_ensemble(args.ensemble)
     doc = fileio.load_manifest(args.manifest)
     base = Path(args.manifest).parent
@@ -158,13 +167,9 @@ def _cmd_reconstruct(args) -> int:
         (fileio.load_histogram(base / run["histogram"]), run["n_pulses"])
         for run in doc["runs"]
     ]
-    period_ns = float(doc.get("bin_period_ns", 156.0))
-    n_bins = doc.get("n_bins")
-    if n_bins is None:
-        # older manifests: infer from the histogram span at the stated period
-        first = hists[0][0]
-        n_bins = int((first.span_ps - first.t0_ps) // (period_ns * 1000.0)) + 1
-    cfg_bin = ingest.BinningConfig(n_detector_bins=n_bins, bin_period_ns=period_ns)
+    cfg_bin = ingest.BinningConfig(
+        n_detector_bins=doc["n_bins"], bin_period_ns=float(doc["bin_period_ns"])
+    )
     matrix = ingest.assemble_outcome_matrix(hists, cfg_bin, ensemble)
     probe_matrix = probe_states.build_probe_matrix(ensemble)
 
@@ -261,24 +266,22 @@ def _cmd_estimate(args) -> int:
     params = _load_loop_params(args)
     if args.outcome_dist:
         matrix = fileio.load_outcome_matrix(args.outcome_dist)
-        p_obs = matrix.values[0]
-        n_pulses = int(matrix.n_pulses[0])
+        if len(matrix.n_pulses) != 1:
+            raise ConfigError(f"{args.outcome_dist}: {len(matrix.n_pulses)} "
+                              "outcome rows; estimate takes one")
     else:
         if args.pulses is None:
             raise ConfigError("--histogram needs --pulses")
-        hist = fileio.load_histogram(args.histogram)
         cfg = ingest.BinningConfig(
             n_detector_bins=params.n_bins, bin_period_ns=params.bin_period_ns
         )
-        counts = ingest.integrate_histogram(hist, cfg)
-        p_obs = ingest.outcome_probabilities(
-            ingest.bin_probabilities(counts, args.pulses)
+        matrix = ingest.assemble_outcome_matrix(
+            [(fileio.load_histogram(args.histogram), args.pulses)], cfg
         )
-        n_pulses = args.pulses
     estimate = estimation.estimate_mean_photon(
-        p_obs,
+        matrix.values[0],
         params,
-        n_pulses=n_pulses,
+        n_pulses=int(matrix.n_pulses[0]),
         n_bootstrap=args.bootstrap,
         seed=args.seed,
     )

@@ -259,7 +259,8 @@ class ClickSample:
 def _effective_click_probs(
     params: LoopParams, mean_photon: float, dark_prob: float
 ) -> np.ndarray:
-    if dark_prob < 0 or dark_prob >= 1:
+    # written so that NaN fails
+    if not 0 <= dark_prob < 1:
         raise ValueError(f"dark_prob must be in [0,1), got {dark_prob}")
     c = coherent_bin_probs(params, mean_photon)
     if dark_prob:

@@ -299,8 +299,6 @@ def save_ensemble(ensemble: ProbeEnsemble, path) -> None:
 
 def load_ensemble(path) -> ProbeEnsemble:
     doc = _load_json(path)
-    if isinstance(doc, list):
-        doc = {"probes": doc}
     with _json_fields(path):
         means = [float(p["mean_photon"]) for p in doc["probes"]]
         truncation_dim = doc.get("truncation_dim")
@@ -338,7 +336,7 @@ def save_histogram_csv(hist: TimeTagHistogram, path) -> None:
         fh.writelines(_count_blocks(hist.counts))
 
 
-def load_histogram_csv(path) -> TimeTagHistogram:
+def load_histogram(path) -> TimeTagHistogram:
     """Header, "bin_width_ps,t0_ps" values, then one integer count per line
     (blank lines skipped), parsed by numpy's C reader."""
     with open(path) as fh:
@@ -358,51 +356,20 @@ def load_histogram_csv(path) -> TimeTagHistogram:
     return TimeTagHistogram(counts[:, 0], bw, t0)
 
 
-def save_histogram_json(hist: TimeTagHistogram, path) -> None:
-    doc = {
-        "bin_width_ps": hist.bin_width_ps,
-        "t0_ps": hist.t0_ps,
-        "counts": [int(c) for c in hist.counts],
-    }
-    Path(path).write_text(json.dumps(doc) + "\n")
-
-
-def load_histogram_json(path) -> TimeTagHistogram:
-    doc = _load_json(path)
-    with _json_fields(path):
-        # per element: np.asarray truncates 1.5 and reads [5, true] as integers
-        if not all(type(c) is int for c in doc["counts"]):
-            raise ConfigError(f"{path}: histogram counts must be JSON integers")
-        counts = np.asarray(doc["counts"], dtype=np.int64)
-        bin_width_ps = float(doc["bin_width_ps"])
-        t0_ps = float(doc.get("t0_ps", 1000.0))
-    return TimeTagHistogram(counts, bin_width_ps, t0_ps)
-
-
-def load_histogram(path) -> TimeTagHistogram:
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        return load_histogram_json(path)
-    return load_histogram_csv(path)
-
-
 # -- run manifests ------------------------------------------------------------
 
 def save_manifest(
     runs: list[dict],
     path,
     seed: int,
-    dark_prob: float = 0.0,
-    n_bins: int | None = None,
-    bin_period_ns: float = 156.0,
+    dark_prob: float,
+    n_bins: int,
+    bin_period_ns: float,
 ) -> None:
     """runs: [{"histogram": relpath, "n_pulses": int, "label": int,
     "mean_photon": float}, ...]"""
-    doc = {"seed": seed, "dark_prob": dark_prob, "runs": runs}
-    if n_bins is not None:
-        doc["n_bins"] = n_bins
-        doc["bin_period_ns"] = bin_period_ns
-    _write_json(path, doc)
+    _write_json(path, {"seed": seed, "dark_prob": dark_prob, "runs": runs,
+                       "n_bins": n_bins, "bin_period_ns": bin_period_ns})
 
 
 def _is_count(value) -> bool:
@@ -419,9 +386,9 @@ def load_manifest(path) -> dict:
         if not all(isinstance(run["histogram"], str) and _is_count(run["n_pulses"])
                    for run in doc["runs"]):
             raise ConfigError(f"{path}: a run lacks a histogram path or n_pulses >= 1")
-        if doc.get("n_bins") is not None and not _is_count(doc["n_bins"]):
+        if not _is_count(doc["n_bins"]):
             raise ConfigError(f"{path}: n_bins must be an integer >= 1")
-        if not float(doc.get("bin_period_ns", 156.0)) > 0:
+        if not float(doc["bin_period_ns"]) > 0:
             raise ConfigError(f"{path}: bin_period_ns must be > 0")
     return doc
 
@@ -521,11 +488,10 @@ def save_fit_result(result: FitResult, path) -> None:
 
 
 def load_fit_params(path) -> LoopParams:
-    """Parameters of a fit result, or a bare parameter document."""
-    doc = _load_json(path)
-    if isinstance(doc, dict) and "params" in doc:
-        doc = doc["params"]
-    return _params_from_doc(doc, path)
+    """The parameters of a fit result document."""
+    with _json_fields(path):
+        params = _load_json(path)["params"]
+    return _params_from_doc(params, path)
 
 
 def save_estimate(estimate, path) -> None:

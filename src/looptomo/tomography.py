@@ -588,6 +588,11 @@ def uncertainty_band(
     """
     if n_mc < 2:
         raise ConfigError(f"n_mc must be >= 2, got {n_mc}")
+    # written so that NaN fails
+    if not 0 <= amplitude_rel_err < np.inf:
+        raise ConfigError(
+            f"amplitude_rel_err must be finite and >= 0, got {amplitude_rel_err}"
+        )
     if not isinstance(probe_matrix, ProbeMatrix):
         raise ConfigError("uncertainty_band needs a ProbeMatrix carrying probe means")
     means = probe_matrix.mean_photons

@@ -504,24 +504,24 @@ _RECONSTRUCT = ["reconstruct", "--manifest", "m.json", "--ensemble", "ens.json",
                 "--epsilon", "1e-4", "--out", "out"]
 _SIMULATE = ["simulate", "--params", "params.json", "--ensemble", "ens.json",
              "--pulses", "100", "--out-dir", "out"]
-_ESTIMATE_HIST = ["estimate", "--params", "params.json", "--histogram", "h.json",
-                  "--pulses", "100", "--out", "out"]
-_ESTIMATE_HIST2 = ["estimate", "--params", "params2.json", "--histogram", "h.json",
-                   "--pulses", "100", "--out", "out"]
 _ESTIMATE_CSV = ["estimate", "--params", "params2.json", "--histogram", "h.csv",
                  "--pulses", "100", "--out", "out"]
 
 
-def _hist_json(last_count: str, bin_width: str = "1000") -> str:
-    """A histogram JSON that _ESTIMATE_HIST2 accepts when last_count is an
-    integer: 312 bins of 1 ns, i.e. two 156 ns detector bins."""
-    counts = ", ".join(["5"] * 311 + [last_count])
-    return f'{{"counts": [{counts}], "bin_width_ps": {bin_width}, "t0_ps": 78000}}'
-
-
-def _hist_csv(values: str) -> str:
-    """A histogram CSV with the given values line and 312 counts of 5."""
+def _hist_csv(values: str = "1000,78000") -> str:
+    """A histogram CSV with the given values line and 312 counts of 5; by
+    default 312 bins of 1 ns, i.e. two 156 ns detector bins, which
+    _ESTIMATE_CSV accepts."""
     return "bin_width_ps,t0_ps\n" + values + "\n" + "5\n" * 312
+
+
+_RUNS = ('"runs": [{"histogram": "h.csv", "n_pulses": 100},'
+         ' {"histogram": "h.csv", "n_pulses": 100}]')
+# a manifest and histogram that _RECONSTRUCT solves; the second manifest
+# lacks the bin layout that simulate writes
+_DATA = {"m.json": f'{{{_RUNS}, "n_bins": 2, "bin_period_ns": 156}}',
+         "h.csv": _hist_csv()}
+_NO_LAYOUT = {"m.json": f"{{{_RUNS}}}", "h.csv": _hist_csv()}
 
 
 _EXTRAPOLATE = ["extrapolate", "--params", "params.json", "--out", "out"]
@@ -535,31 +535,37 @@ FUZZ_TABLE = [
     pytest.param(_RECONSTRUCT, {"m.json": '{"runs": ["x"]}'}, 2, id="run-string"),
     pytest.param(_RECONSTRUCT, {"m.json": '{"runs": [{"n_pulses": 5}]}'}, 2,
                  id="run-without-histogram"),
-    pytest.param(_ESTIMATE_HIST, {"h.json": "[1,2]"}, 2, id="histogram-json-list"),
-    pytest.param(_ESTIMATE_HIST, {"h.json": "3"}, 2, id="histogram-json-number"),
-    pytest.param(_ESTIMATE_HIST,
-                 {"h.json": '{"counts": [1e400], "bin_width_ps": 10}'}, 2,
-                 id="histogram-json-infinite-count"),
-    pytest.param(_ESTIMATE_HIST2, {"h.json": _hist_json("1.5")}, 2,
-                 id="histogram-json-fractional-count"),
-    pytest.param(_ESTIMATE_HIST2, {"h.json": _hist_json("2.0")}, 2,
-                 id="histogram-json-float-count"),
-    pytest.param(_ESTIMATE_HIST2, {"h.json": _hist_json("true")}, 2,
-                 id="histogram-json-boolean-count"),
-    pytest.param(_ESTIMATE_HIST2, {"h.json": _hist_json("5", "NaN")}, 2,
-                 id="histogram-json-nan-bin-width"),
+    # what _hist_csv() holds, in the JSON form that is no longer read
+    pytest.param(["estimate", "--params", "params2.json", "--histogram", "h.json",
+                  "--pulses", "100", "--out", "out"],
+                 {"h.json": '{"counts": [%s], "bin_width_ps": 1000, "t0_ps": 78000}'
+                            % ", ".join(["5"] * 312)},
+                 2, id="histogram-json"),
+    pytest.param(_RECONSTRUCT, _NO_LAYOUT, 2, id="manifest-without-n-bins"),
+    pytest.param([*_RECONSTRUCT, "--mc-band", "2", "--amplitude-err", "-0.5"], _DATA,
+                 2, id="reconstruct-amplitude-err-negative"),
+    pytest.param([*_RECONSTRUCT, "--mc-band", "2", "--amplitude-err", "nan"], _DATA,
+                 2, id="reconstruct-amplitude-err-nan"),
     pytest.param(_ESTIMATE_CSV, {"h.csv": _hist_csv("nan,1000")}, 2,
                  id="histogram-csv-nan-bin-width"),
     pytest.param(_ESTIMATE_CSV, {"h.csv": _hist_csv("10,nan")}, 2,
                  id="histogram-csv-nan-t0"),
-    pytest.param([*_ESTIMATE_HIST2, "--bootstrap", "-3"], {"h.json": _hist_json("5")},
+    pytest.param([*_ESTIMATE_CSV, "--bootstrap", "-3"], {"h.csv": _hist_csv()},
                  2, id="estimate-bootstrap-negative"),
+    pytest.param(["estimate", "--params", "params2.json", "--outcome-dist", "d.csv",
+                  "--out", "out"],
+                 {"d.csv": "n_pulses,outcome_0,outcome_1,outcome_2\n"
+                           "100,0.25,0.5,0.25\n100,0.5,0.25,0.25\n"},
+                 2, id="outcome-dist-two-rows"),
+    pytest.param(["extrapolate", "--fit", "params.json", "--outcomes", "3",
+                  "--hilbert-dim", "10", "--out", "out"], {}, 2,
+                 id="extrapolate-fit-bare-params"),
     pytest.param([*_EXTRAPOLATE, "--outcomes", "300", "--hilbert-dim", "1000000"], {},
                  2, id="extrapolate-over-size-limit"),
     pytest.param([*_EXTRAPOLATE, "--outcomes", "12", "--hilbert-dim", "-1"], {},
                  2, id="extrapolate-negative-hilbert-dim"),
     # None: the input path is a directory
-    pytest.param(_ESTIMATE_HIST, {"h.json": None}, 2, id="histogram-directory"),
+    pytest.param(_ESTIMATE_CSV, {"h.csv": None}, 2, id="histogram-directory"),
     pytest.param(_RECONSTRUCT, {"m.json": None}, 2, id="manifest-directory"),
     pytest.param(["export-plots", "--povm", "p.csv", "--out-dir", "out"],
                  {"p.csv": None}, 2, id="povm-directory"),
@@ -578,6 +584,10 @@ FUZZ_TABLE = [
                                          ' "tail_sigmas": Infinity}'},
                  2, id="ensemble-tail-sigmas-infinite"),
     pytest.param([*_SIMULATE, "--raw-bins", "10"], {}, 2, id="simulate-raw-bins-short"),
+    pytest.param([*_SIMULATE, "--pulses", "-5"], {}, 2, id="simulate-pulses-negative"),
+    pytest.param([*_SIMULATE, "--dark-prob", "1.5"], {}, 2,
+                 id="simulate-dark-prob-above-one"),
+    pytest.param([*_SIMULATE, "--dark-prob", "nan"], {}, 2, id="simulate-dark-prob-nan"),
     pytest.param([*_SIMULATE, "--bin-width-ps", "0"], {}, 2, id="simulate-bin-width-0"),
     pytest.param([*_SIMULATE, "--bin-width-ps", "-10"], {}, 2,
                  id="simulate-bin-width-negative"),
@@ -593,8 +603,7 @@ FUZZ_TABLE = [
 ]
 
 
-@pytest.mark.parametrize("argv, files, code", FUZZ_TABLE)
-def test_malformed_input_exit_codes(tmp_path, monkeypatch, capsys, argv, files, code):
+def _fuzz_workspace(tmp_path, monkeypatch, files):
     monkeypatch.chdir(tmp_path)
     fileio.save_params(PARAMS, "params.json")
     fileio.save_params(LoopParams(0.89613, 0.9064, 0.4912, 2), "params2.json")
@@ -604,18 +613,26 @@ def test_malformed_input_exit_codes(tmp_path, monkeypatch, capsys, argv, files, 
             (tmp_path / name).mkdir()
         else:
             (tmp_path / name).write_text(text)
+
+
+@pytest.mark.parametrize("argv, files, code", FUZZ_TABLE)
+def test_malformed_input_exit_codes(tmp_path, monkeypatch, capsys, argv, files, code):
+    _fuzz_workspace(tmp_path, monkeypatch, files)
     assert main(argv) == code
     prefix = {2: "configuration error: ", 3: "data error: "}[code]
     assert capsys.readouterr().err.startswith(prefix)
     assert not (tmp_path / "out").exists()
 
 
-def test_histogram_json_integer_counts_accepted(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    fileio.save_params(LoopParams(0.89613, 0.9064, 0.4912, 2), "params2.json")
-    (tmp_path / "h.json").write_text(_hist_json("5"))
-    assert main(_ESTIMATE_HIST2) == 0
-    assert json.loads((tmp_path / "out").read_text())["mean_photon"] > 0
+@pytest.mark.parametrize("argv, files", [
+    pytest.param(_ESTIMATE_CSV, {"h.csv": _hist_csv()}, id="estimate-histogram"),
+    pytest.param([*_RECONSTRUCT, "--mc-band", "2"], _DATA, id="reconstruct-band"),
+])
+def test_fuzz_table_inputs_are_otherwise_accepted(tmp_path, monkeypatch, argv, files):
+    """The valid inputs that FUZZ_TABLE rows break with one flag or field."""
+    _fuzz_workspace(tmp_path, monkeypatch, files)
+    assert main(argv) == 0
+    assert (tmp_path / "out").exists()
 
 
 class TestExitCodes:

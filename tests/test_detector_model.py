@@ -302,3 +302,8 @@ class TestSimulator:
     def test_invalid_pulse_count(self):
         with pytest.raises(ValueError):
             simulate_bin_clicks(DEVICE, 1.0, 0, seed=0)
+
+    @pytest.mark.parametrize("dark", [-0.1, 1.0, np.nan])
+    def test_invalid_dark_prob(self, dark):
+        with pytest.raises(ValueError, match="dark_prob"):
+            simulate_bin_clicks(DEVICE, 1.0, 10, seed=0, dark_prob=dark)

@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,12 +82,12 @@ class TestEnsembleRoundTrip:
         assert probes == [{"label": 0, "mean_photon": 1.0},
                           {"label": 1, "mean_photon": 2.0}]
 
-    def test_bare_list_accepted(self, tmp_path):
+    def test_bare_list_rejected(self, tmp_path):
         path = tmp_path / "ens.json"
         path.write_text('[{"label": 0, "mean_photon": 0.0},'
                         ' {"label": 1, "mean_photon": 4.0}]')
-        ens = fileio.load_ensemble(path)
-        assert len(ens) == 2
+        with pytest.raises(ConfigError):
+            fileio.load_ensemble(path)
 
 
 def _line_by_line_histogram_csv(hist, path):
@@ -110,13 +111,11 @@ class TestHistogramRoundTrip:
         assert back.bin_width_ps == hist.bin_width_ps
         assert back.t0_ps == hist.t0_ps
 
-    def test_json_round_trip(self, tmp_path):
-        cfg = BinningConfig(n_detector_bins=4)
-        hist = histogram_from_bin_counts([5, 0, 2, 9], cfg)
+    def test_json_histogram_rejected(self, tmp_path):
         path = tmp_path / "hist.json"
-        fileio.save_histogram_json(hist, path)
-        back = fileio.load_histogram(path)
-        np.testing.assert_array_equal(back.counts, hist.counts)
+        path.write_text('{"counts": [5, 0, 2, 9], "bin_width_ps": 10, "t0_ps": 1000}')
+        with pytest.raises(ConfigError, match="not a histogram CSV"):
+            fileio.load_histogram(path)
 
     def test_byte_determinism(self, tmp_path):
         cfg = BinningConfig(n_detector_bins=4)
@@ -188,7 +187,7 @@ class TestHistogramRoundTrip:
         path = tmp_path / "x.csv"
         path.write_text("not,a,histogram\n1,2,3\n")
         with pytest.raises(ConfigError):
-            fileio.load_histogram_csv(path)
+            fileio.load_histogram(path)
 
     @pytest.mark.parametrize(
         "text, outcome",
@@ -211,13 +210,13 @@ class TestHistogramRoundTrip:
         path = tmp_path / "h.csv"
         path.write_bytes(text.encode())
         if isinstance(outcome, list):
-            hist = fileio.load_histogram_csv(path)
+            hist = fileio.load_histogram(path)
             np.testing.assert_array_equal(hist.counts, outcome)
             assert hist.counts.dtype == np.int64
             assert (hist.bin_width_ps, hist.t0_ps) == (10.0, 1000.0)
         else:
             with pytest.raises(outcome):
-                fileio.load_histogram_csv(path)
+                fileio.load_histogram(path)
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
@@ -397,14 +396,15 @@ class TestManifest:
         runs = [{"histogram": "h0.csv", "n_pulses": 10, "label": 0,
                  "mean_photon": 0.0}]
         path = tmp_path / "manifest.json"
-        fileio.save_manifest(runs, path, seed=7, dark_prob=0.0)
+        fileio.save_manifest(runs, path, 7, 0.0, 10, 156.0)
         doc = fileio.load_manifest(path)
         assert doc["seed"] == 7
         assert doc["runs"] == runs
+        assert (doc["n_bins"], doc["bin_period_ns"]) == (10, 156.0)
 
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
-        fileio.save_manifest([], path, seed=0)
+        fileio.save_manifest([], path, 0, 0.0, 10, 156.0)
         with pytest.raises(ConfigError):
             fileio.load_manifest(path)
 
@@ -474,6 +474,9 @@ def test_loaded_support_flags_and_pulses(tmp_path):
     np.testing.assert_array_equal(pulses, [10, 100])
 
 
+_RUN = '"runs": [{"histogram": "h.csv", "n_pulses": 5}]'
+
+
 @pytest.mark.parametrize(
     "loader, text",
     [
@@ -487,26 +490,22 @@ def test_loaded_support_flags_and_pulses(tmp_path):
         (fileio.load_manifest, '{"runs": [{"histogram": "h.csv", "n_pulses": 0}]}'),
         (fileio.load_manifest, '{"runs": [{"histogram": "h.csv", "n_pulses": 5.5}]}'),
         (fileio.load_manifest, '{"runs": [{"histogram": "h.csv", "n_pulses": true}]}'),
-        (fileio.load_manifest,
-         '{"runs": [{"histogram": "h.csv", "n_pulses": 5}], "n_bins": "10"}'),
-        (fileio.load_manifest,
-         '{"runs": [{"histogram": "h.csv", "n_pulses": 5}], "bin_period_ns": [1]}'),
-        (fileio.load_manifest,
-         '{"runs": [{"histogram": "h.csv", "n_pulses": 5}], "bin_period_ns": 0}'),
-        (fileio.load_histogram_json, "[1, 2]"),
-        (fileio.load_histogram_json, "3"),
-        (fileio.load_histogram_json, '{"counts": "x", "bin_width_ps": 10}'),
-        (fileio.load_histogram_json, '{"counts": [1e400], "bin_width_ps": 10}'),
-        (fileio.load_histogram_json, '{"counts": [1.5], "bin_width_ps": 10}'),
-        (fileio.load_histogram_json, '{"counts": [5, true], "bin_width_ps": 10}'),
-        (fileio.load_histogram_json,
-         '{"counts": [18446744073709551616], "bin_width_ps": 10}'),
+        (fileio.load_manifest, "{%s}" % _RUN),
+        (fileio.load_manifest, '{%s, "bin_period_ns": 156}' % _RUN),
+        (fileio.load_manifest, '{%s, "n_bins": 10}' % _RUN),
+        (fileio.load_manifest, '{%s, "n_bins": "10", "bin_period_ns": 156}' % _RUN),
+        (fileio.load_manifest, '{%s, "n_bins": 0, "bin_period_ns": 156}' % _RUN),
+        (fileio.load_manifest, '{%s, "n_bins": 10, "bin_period_ns": [1]}' % _RUN),
+        (fileio.load_manifest, '{%s, "n_bins": 10, "bin_period_ns": 0}' % _RUN),
+        (fileio.load_manifest, '{%s, "n_bins": 10, "bin_period_ns": NaN}' % _RUN),
         (fileio.load_ensemble,
          '{"probes": [{"mean_photon": 1}], "truncation_dim": "x"}'),
         (fileio.load_ensemble, '{"probes": [{"mean_photon": 1}], "tail_sigmas": [6]}'),
         (fileio.load_ensemble, '{"probes": 5}'),
         (fileio.load_params, "5"),
         (fileio.load_fit_params, '{"params": [0.9]}'),
+        (fileio.load_fit_params,
+         '{"R": 0.9, "eta_loop": 0.9, "eta_det": 0.5, "n_bins": 10}'),
     ],
 )
 def test_malformed_json_fields_are_config_errors(tmp_path, loader, text):
@@ -514,3 +513,17 @@ def test_malformed_json_fields_are_config_errors(tmp_path, loader, text):
     path.write_text(text)
     with pytest.raises(ConfigError):
         loader(path)
+
+
+@pytest.mark.parametrize("bullet, save", [
+    ("Manifest JSON", lambda path: fileio.save_manifest([], path, 0, 0.0, 10, 156.0)),
+    ("Ensemble JSON",
+     lambda path: fileio.save_ensemble(ProbeEnsemble.from_means([1.0]), path)),
+], ids=["manifest", "ensemble"])
+def test_readme_format_lists_every_written_key(tmp_path, bullet, save):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    entry = readme.split(f"\n- **{bullet}**")[1].split("\n- **")[0]
+    path = tmp_path / "doc.json"
+    save(path)
+    missing = [key for key in json.loads(path.read_text()) if f'"{key}"' not in entry]
+    assert not missing, missing

@@ -610,6 +610,13 @@ class TestUncertaintyBand:
         with pytest.raises(ConfigError):
             uncertainty_band(f_mat, p_mat, SmoothingConfig(1e-4), n_mc=2)
 
+    @pytest.mark.parametrize("err", [-0.5, np.nan, np.inf])
+    def test_bad_amplitude_error_rejected(self, err):
+        f_mat, p_mat, _, means = small_problem(trunc=20, mu_max=8.0, d=6)
+        wrapper = ProbeMatrix(f_mat, means, 20)
+        with pytest.raises(ConfigError, match="amplitude_rel_err"):
+            uncertainty_band(wrapper, p_mat, SmoothingConfig(1e-4), err, n_mc=2)
+
 
 @pytest.fixture(scope="module")
 def sweep():
