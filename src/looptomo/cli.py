@@ -265,6 +265,9 @@ def _cmd_extrapolate(args) -> int:
 def _cmd_estimate(args) -> int:
     params = _load_loop_params(args)
     if args.outcome_dist:
+        if args.pulses is not None:
+            raise ConfigError("--pulses applies to --histogram only; an "
+                              "--outcome-dist file carries its own n_pulses")
         matrix = fileio.load_outcome_matrix(args.outcome_dist)
         if len(matrix.n_pulses) != 1:
             raise ConfigError(f"{args.outcome_dist}: {len(matrix.n_pulses)} "

@@ -388,8 +388,10 @@ def load_manifest(path) -> dict:
             raise ConfigError(f"{path}: a run lacks a histogram path or n_pulses >= 1")
         if not _is_count(doc["n_bins"]):
             raise ConfigError(f"{path}: n_bins must be an integer >= 1")
-        if not float(doc["bin_period_ns"]) > 0:
-            raise ConfigError(f"{path}: bin_period_ns must be > 0")
+        period = doc["bin_period_ns"]
+        # a JSON number: a string, a boolean, NaN or Infinity is refused
+        if not (type(period) in (int, float) and 0 < period < np.inf):
+            raise ConfigError(f"{path}: bin_period_ns must be a finite number > 0")
     return doc
 
 

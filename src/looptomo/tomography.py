@@ -15,13 +15,16 @@ Solver: an operator-splitting (ADMM) phase with exact subproblem solves
 Woodbury probe update, two probe-by-Fock products per iteration) handles
 any scale. Its Fock-sized iterates are stored outcome-major (Fortran
 order), so the tridiagonal solve, both products and the sort-free simplex
-projection run over contiguous outcome columns. On small problems ADMM
-runs only a short warm-up (_POLISH_WARMUP iterations); an active-set
-Newton polish, wrapped in a majorize-minimize loop for the unsquared norm,
-then pushes the iterate to machine-precision optimality. The polish QP's
-Hessian is block-diagonal by outcome column, so each step factors one
-Fock-sized block per column and solves a Fock-sized Schur system for the
-row-sum multipliers.
+projection run over contiguous outcome columns. They live in buffers
+allocated once per solve; F c skips the exact-zero blocks of F's Poisson
+windows, and each projection is warm-started from the previous iterate's
+support, so only rows whose support changed run the full passes. On small
+problems ADMM runs only a short warm-up (_POLISH_WARMUP iterations); an
+active-set Newton polish, wrapped in a majorize-minimize loop for the
+unsquared norm, then pushes the iterate to machine-precision optimality.
+The polish QP's Hessian is block-diagonal by outcome column, so each step
+factors one Fock-sized block per column and solves a Fock-sized Schur
+system for the row-sum multipliers.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ _ADMM_CHECK_EVERY = 20
 _ADMM_ALPHA = 1.7  # over-relaxation
 _TINY = np.finfo(float).tiny
 _SWEEP_SLACK = 1e-7  # L-curve monotonicity violations below this are noise
+_PROBE_BLOCK = 704  # Fock columns per block of F in the theta-update's F c
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,7 @@ class ReconstructionReport:
     objective_trace: tuple = field(repr=False, default=())
 
 
-def project_rows_to_simplex(y: np.ndarray) -> np.ndarray:
+def project_rows_to_simplex(y: np.ndarray, *, support=None) -> np.ndarray:
     """Euclidean projection of every row onto {x >= 0, sum x = 1}.
 
     Sort-free active-set algorithm (Michelot, J. Optim. Theory Appl. 50,
@@ -104,10 +108,39 @@ def project_rows_to_simplex(y: np.ndarray) -> np.ndarray:
     the row maximum (now 0) is never dropped and no active set empties.
     The reductions run over y.T, whose columns are contiguous for the
     Fortran-ordered iterates of _admm_phase; the output keeps y's layout.
+
+    ``support``, a boolean array of y's shape, warm-starts the passes with
+    a guess of each row's support {x > 0}, such as the previous projection's
+    in an iterative solver. A row whose guessed set S gives the threshold
+    tau_S = (sum of S - 1) / |S| with S == {entries > tau_S} has found its
+    projection (tau_S then solves sum max(y - tau, 0) = 1) and is done after
+    that one pass; only the other rows run the passes from the start. The
+    result equals the projection without a hint up to rounding.
     """
     y_t = np.atleast_2d(np.asarray(y, dtype=float)).T
-    n = y_t.shape[0]
     s = y_t - y_t.max(axis=0)
+    if support is None:
+        tau = _simplex_threshold(s)
+    else:
+        guess = np.atleast_2d(np.asarray(support, dtype=bool)).T
+        if guess.shape != s.shape:
+            raise ValueError(f"support has shape {guess.shape[::-1]}, "
+                             f"y has {s.shape[::-1]}")
+        count = guess.sum(axis=0, dtype=np.int32)
+        # an empty guess gives tau = -inf, which then fails the test below
+        with np.errstate(divide="ignore"):
+            tau = (np.add.reduce(s, axis=0, where=guess) - 1.0) / count
+        missed = np.flatnonzero(((s > tau) != guess).any(axis=0))
+        if missed.size:
+            tau[missed] = _simplex_threshold(s[:, missed])
+    s -= tau
+    return np.maximum(s, 0.0, out=s).T
+
+
+def _simplex_threshold(s: np.ndarray) -> np.ndarray:
+    """Active-set passes of project_rows_to_simplex over the columns of s,
+    each already shifted so that its maximum is 0; returns each tau."""
+    n = s.shape[0]
     tau = (s.sum(axis=0) - 1.0) / n
     active = s > tau
     count = active.sum(axis=0, dtype=np.int32)  # int32 sums bools fastest
@@ -118,8 +151,7 @@ def project_rows_to_simplex(y: np.ndarray) -> np.ndarray:
         if (new_count == count).all():
             break
         count = new_count
-    s -= tau
-    return np.maximum(s, 0.0, out=s).T
+    return tau
 
 
 def smoothness_seminorm(theta: np.ndarray) -> float:
@@ -163,22 +195,39 @@ class _ThetaSolver:
     """Exact theta-update: solve (2 eps DtD + rho I + rho F^T F) theta = b
     for b = rho F^T a + rho v.
 
-    K = rho I + 2 eps DtD is tridiagonal and is factored once as L D L^T
-    (LAPACK dpttrf). The probe Gram term has rank at most the number of
-    probes and enters through a Woodbury correction built from the
-    probe-sized G = F K^-1 F^T and W = I / rho + G. With c = K^-1 v,
-    w = W^-1 rho (G a + F c) and g = rho a - w,
+    K = rho I + 2 eps DtD is tridiagonal and is factored once per rho as
+    L D L^T (LAPACK dpttrf). The probe Gram term has rank at most the
+    number of probes and enters through a Woodbury correction built from
+    the probe-sized G = F K^-1 F^T and W = I / rho + G. With
+    c = rho K^-1 v, solved with the factors of K / rho = L (D / rho) L^T,
+    w = W^-1 (rho G a + F c) and g = rho a - w,
 
-        theta = (K^-1 F^T) g + rho c,    F theta = G g + rho F c,
+        theta = (K^-1 F^T) g + c,    F theta = G g + F c,
 
     so an update costs two products of probe-by-Fock size. Both run on
     transposed views, c^T F^T and g^T (K^-1 F^T)^T, so that with v
     Fortran-ordered (outcome columns contiguous) the Fock-sized operands
-    and theta are all outcome-major and neither F nor K^-1 F^T is copied.
+    and theta are all outcome-major; neither F nor K^-1 F^T is copied.
+    The tridiagonal solve overwrites v, and theta is written into the
+    caller's buffer, so an update allocates nothing of Fock size.
+
+    Each row of F is a Poisson window that underflows to exact zeros
+    outside it. F c therefore runs over _PROBE_BLOCK-wide column blocks of
+    F, each multiplied only by the range of probe rows that holds its
+    nonzeros (_zero_block_plan, built once per F). A problem narrower than
+    one block keeps the single product.
     """
 
     def __init__(self, F: np.ndarray, epsilon: float, rho: float):
-        m1 = F.shape[1]
+        self._f = F
+        self._epsilon = epsilon
+        self.plan = _zero_block_plan(F)
+        self.set_rho(rho)
+
+    def set_rho(self, rho: float):
+        """Refactor K and W for a new penalty rho."""
+        epsilon = self._epsilon
+        m1 = self._f.shape[1]
         diag = np.full(m1, rho)
         if m1 > 1:
             diag[[0, -1]] += 2 * epsilon
@@ -189,30 +238,58 @@ class _ThetaSolver:
         if info:
             raise np.linalg.LinAlgError(f"smoothing block not positive (info {info})")
         self._rho = rho
+        self._d_over_rho = self._d / rho
+        # drop the old matrix first, so that only one K^-1 F^T is ever held
+        self._k_inv_ft = None
         # Fortran-ordered (m1, D) as dpttrs returns it: its .T is a C view
-        self._k_inv_ft = self._k_solve(F.T)
+        self._k_inv_ft = dpttrs(self._d, self._e, self._f.T)[0]
         self._k_inv_ft[np.abs(self._k_inv_ft) < _TINY] = 0.0
-        self._gram = F @ self._k_inv_ft
-        self._w_chol, info = dpotrf(np.eye(F.shape[0]) / rho + self._gram)
+        self._gram = self._f @ self._k_inv_ft
+        # subnormal entries cost microcode assists in every product with G
+        self._gram[np.abs(self._gram) < _TINY] = 0.0
+        self._w_chol, info = dpotrf(np.eye(self._f.shape[0]) / rho + self._gram)
         if info:
             raise np.linalg.LinAlgError(f"probe block not positive (info {info})")
 
-    def _k_solve(self, b: np.ndarray) -> np.ndarray:
-        return dpttrs(self._d, self._e, b)[0]
+    def _f_times(self, c: np.ndarray) -> np.ndarray:
+        """F c, skipping the exact-zero blocks of F when the plan has any."""
+        F = self._f
+        if len(self.plan) == 1:
+            return (c.T @ F.T).T
+        f_c = np.zeros((c.shape[1], F.shape[0]))
+        for rows, cols in self.plan:
+            f_c[:, rows] += c[cols].T @ F[rows, cols].T
+        return f_c.T
 
-    def update(self, F: np.ndarray, a: np.ndarray, v: np.ndarray):
-        """(theta, F theta) for the right-hand side rho F^T a + rho v.
+    def update(self, a: np.ndarray, v: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Write theta for the right-hand side rho F^T a + rho v into
+        ``theta`` (Fortran-ordered (m1, N)) and return F theta.
 
-        theta comes back Fortran-ordered (m1, N).
+        A Fortran-ordered v is overwritten.
         """
         rho = self._rho
-        c = self._k_solve(v)  # Fortran-ordered (m1, N)
-        f_c = (c.T @ F.T).T
+        c = dpttrs(self._d_over_rho, self._e, v, overwrite_b=1)[0]
+        f_c = self._f_times(c)
         # inputs are finite (checked in reconstruct), so call LAPACK directly
-        g = rho * a - dpotrs(self._w_chol, rho * (self._gram @ a + f_c))[0]
-        theta = (g.T @ self._k_inv_ft.T).T
-        theta += rho * c
-        return theta, self._gram @ g + rho * f_c
+        g = rho * a - dpotrs(self._w_chol, rho * (self._gram @ a) + f_c)[0]
+        np.matmul(g.T, self._k_inv_ft.T, out=theta.T)
+        theta += c
+        return self._gram @ g + f_c
+
+
+def _zero_block_plan(F: np.ndarray) -> tuple[tuple[slice, slice], ...]:
+    """(probe rows, Fock columns) of each _PROBE_BLOCK-wide column block of
+    F that has a nonzero entry, the rows cut to the range holding them."""
+    m1 = F.shape[1]
+    if m1 <= _PROBE_BLOCK:
+        return ((slice(None), slice(None)),)
+    plan = []
+    for start in range(0, m1, _PROBE_BLOCK):
+        cols = slice(start, min(start + _PROBE_BLOCK, m1))
+        rows = np.flatnonzero((F[:, cols] != 0).any(axis=1))
+        if rows.size:
+            plan.append((slice(rows[0], rows[-1] + 1), cols))
+    return tuple(plan)
 
 
 class _AdmmResult(NamedTuple):
@@ -230,15 +307,21 @@ def _admm_phase(F, P, epsilon, max_iter: int) -> _AdmmResult:
 
     The Fock-sized iterates (theta, z, u2) are Fortran-ordered, so each
     outcome column is contiguous for the theta-update and the projection.
+    theta, u2 and the relaxed point y = alpha theta + (1 - alpha) z + u2
+    live in buffers allocated once, and u2 is updated as y - z for the new
+    z, which is u2 + (relaxed theta - z). Each projection is warm-started
+    from the support of the previous z.
     """
-    n_probes, m1 = F.shape
     n_out = P.shape[1]
     rho = 1.0
-    theta = np.full((m1, n_out), 1.0 / n_out, order="F")
+    theta = np.full((F.shape[1], n_out), 1.0 / n_out, order="F")
     z = theta.copy(order="F")
     r_block = P - F @ theta
     u1 = np.zeros_like(P)
     u2 = np.zeros_like(theta)
+    y = np.empty_like(theta)
+    scratch = np.empty_like(theta)
+    support = np.empty(theta.shape, dtype=bool, order="F")
     solver = _ThetaSolver(F, epsilon, rho)
     best = z.copy()
     best_obj, _, _ = _objective(F, P, best, epsilon)
@@ -250,17 +333,21 @@ def _admm_phase(F, P, epsilon, max_iter: int) -> _AdmmResult:
     pr_scaled = dr_scaled = float("nan")
     it = 0
     for it in range(1, max_iter + 1):
-        theta, f_theta = solver.update(F, P - r_block + u1, z - u2)
+        np.subtract(z, u2, out=scratch)
+        f_theta = solver.update(P - r_block + u1, scratch, theta)
         # over-relaxation
         f_relaxed = _ADMM_ALPHA * f_theta + (1 - _ADMM_ALPHA) * (P - r_block)
-        t_relaxed = _ADMM_ALPHA * theta + (1 - _ADMM_ALPHA) * z
+        np.multiply(theta, _ADMM_ALPHA, out=y)
+        np.multiply(z, 1 - _ADMM_ALPHA, out=scratch)
+        y += scratch
+        y += u2
         v = P - f_relaxed + u1
         nv = np.linalg.norm(v)
         r_block = v * max(0.0, 1.0 - 1.0 / (rho * max(nv, 1e-300)))
         z_old = z
-        z = project_rows_to_simplex(t_relaxed + u2)
+        z = project_rows_to_simplex(y, support=np.greater(z_old, 0.0, out=support))
         u1 += P - f_relaxed - r_block
-        u2 += t_relaxed - z
+        np.subtract(y, z, out=u2)
         if it % _ADMM_CHECK_EVERY == 0 or it == max_iter:
             pr = np.sqrt(
                 np.linalg.norm(P - f_theta - r_block) ** 2
@@ -281,13 +368,13 @@ def _admm_phase(F, P, epsilon, max_iter: int) -> _AdmmResult:
                 u1 /= 2.0
                 u2 /= 2.0
                 rho_changes += 1
-                solver = _ThetaSolver(F, epsilon, rho)
+                solver.set_rho(rho)
             elif dr > 10 * pr:
                 rho /= 2.0
                 u1 *= 2.0
                 u2 *= 2.0
                 rho_changes += 1
-                solver = _ThetaSolver(F, epsilon, rho)
+                solver.set_rho(rho)
     return _AdmmResult(best, it, trace, met, rho_changes, pr_scaled, dr_scaled)
 
 

@@ -506,6 +506,10 @@ _SIMULATE = ["simulate", "--params", "params.json", "--ensemble", "ens.json",
              "--pulses", "100", "--out-dir", "out"]
 _ESTIMATE_CSV = ["estimate", "--params", "params2.json", "--histogram", "h.csv",
                  "--pulses", "100", "--out", "out"]
+_ESTIMATE_DIST = ["estimate", "--params", "params2.json", "--outcome-dist", "d.csv",
+                  "--out", "out"]
+# near the coherent distribution of mean photon number 1 for params2.json
+_DIST_CSV = "n_pulses,outcome_0,outcome_1,outcome_2\n1000,0.64,0.357,0.003\n"
 
 
 def _hist_csv(values: str = "1000,78000") -> str:
@@ -557,6 +561,8 @@ FUZZ_TABLE = [
                  {"d.csv": "n_pulses,outcome_0,outcome_1,outcome_2\n"
                            "100,0.25,0.5,0.25\n100,0.5,0.25,0.25\n"},
                  2, id="outcome-dist-two-rows"),
+    pytest.param([*_ESTIMATE_DIST, "--pulses", "7"], {"d.csv": _DIST_CSV}, 2,
+                 id="outcome-dist-with-pulses"),
     pytest.param(["extrapolate", "--fit", "params.json", "--outcomes", "3",
                   "--hilbert-dim", "10", "--out", "out"], {}, 2,
                  id="extrapolate-fit-bare-params"),
@@ -626,6 +632,7 @@ def test_malformed_input_exit_codes(tmp_path, monkeypatch, capsys, argv, files, 
 
 @pytest.mark.parametrize("argv, files", [
     pytest.param(_ESTIMATE_CSV, {"h.csv": _hist_csv()}, id="estimate-histogram"),
+    pytest.param(_ESTIMATE_DIST, {"d.csv": _DIST_CSV}, id="estimate-outcome-dist"),
     pytest.param([*_RECONSTRUCT, "--mc-band", "2"], _DATA, id="reconstruct-band"),
 ])
 def test_fuzz_table_inputs_are_otherwise_accepted(tmp_path, monkeypatch, argv, files):

@@ -498,6 +498,10 @@ _RUN = '"runs": [{"histogram": "h.csv", "n_pulses": 5}]'
         (fileio.load_manifest, '{%s, "n_bins": 10, "bin_period_ns": [1]}' % _RUN),
         (fileio.load_manifest, '{%s, "n_bins": 10, "bin_period_ns": 0}' % _RUN),
         (fileio.load_manifest, '{%s, "n_bins": 10, "bin_period_ns": NaN}' % _RUN),
+        (fileio.load_manifest, '{%s, "n_bins": 10, "bin_period_ns": "156"}' % _RUN),
+        (fileio.load_manifest, '{%s, "n_bins": 10, "bin_period_ns": true}' % _RUN),
+        (fileio.load_manifest, '{%s, "n_bins": 10, "bin_period_ns": Infinity}' % _RUN),
+        (fileio.load_manifest, '{%s, "n_bins": 10, "bin_period_ns": -156}' % _RUN),
         (fileio.load_ensemble,
          '{"probes": [{"mean_photon": 1}], "truncation_dim": "x"}'),
         (fileio.load_ensemble, '{"probes": [{"mean_photon": 1}], "tail_sigmas": [6]}'),

@@ -82,6 +82,32 @@ def test_simplex_projection_matches_sort_based(y, on_simplex, fortran):
     assert np.all(np.abs(x - sort_projection(y)) <= 1e-14 * scale)
 
 
+@PROPERTY
+@given(data=st.data(), y=_projection_inputs, fortran=st.booleans(),
+       hint=st.sampled_from(["all", "none", "random", "support", "flipped"]))
+def test_warm_started_projection_matches_cold(data, y, fortran, hint):
+    if fortran:
+        y = np.asfortranarray(y)
+    cold = project_rows_to_simplex(y)
+    if hint == "all":
+        support = np.ones(y.shape, dtype=bool)
+    elif hint == "none":
+        support = np.zeros(y.shape, dtype=bool)
+    elif hint == "random":
+        support = data.draw(arrays(np.bool_, y.shape))
+    else:
+        support = cold > 0
+        if hint == "flipped":
+            support.flat[data.draw(st.integers(0, y.size - 1))] ^= True
+    x = project_rows_to_simplex(y, support=support)
+    assert x.shape == y.shape and x.flags.f_contiguous == y.flags.f_contiguous
+    assert x.min() >= 0.0
+    np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-12)
+    # a hinted set that is self-consistent gives the same threshold up to
+    # the order of one sum, which at a tie may include the tied entry
+    assert np.all(np.abs(x - cold) <= 1e-15)
+
+
 # entries of 1e15-1e17, where 1/N falls below the rounding of a row's sum
 _large_projection_inputs = st.tuples(st.integers(1, 6), st.integers(1, 60)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.one_of(

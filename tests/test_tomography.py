@@ -58,6 +58,10 @@ class TestSimplexProjection:
         assert x.min() >= 0.0
         np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_support_hint_must_match_shape(self):
+        with pytest.raises(ValueError, match="support has shape"):
+            project_rows_to_simplex(np.zeros((4, 3)), support=np.ones((3, 4), bool))
+
     def test_matches_bruteforce_kkt(self):
         # projection of a 2-vector has a closed form
         x = project_rows_to_simplex(np.array([[2.0, 0.0]]))
@@ -195,20 +199,25 @@ class TestThetaUpdate:
         lhs = 2 * eps * d.T @ d + rho * np.eye(m1) + rho * f_mat.T @ f_mat
         return np.linalg.solve(lhs, rho * f_mat.T @ a + rho * v)
 
+    # truncation 1500 spans three column blocks of F, with exact-zero windows
     @pytest.mark.parametrize("trunc, eps, rho", [(60, 1e-3, 1.0), (60, 1e-5, 4.0),
-                                                  (0, 1e-3, 0.5)])
+                                                  (0, 1e-3, 0.5), (1500, 1e-5, 2.0)])
     def test_matches_dense_solve(self, trunc, eps, rho):
         rng = np.random.default_rng(trunc)
-        means = np.linspace(0.0, 25.0, 15) if trunc else np.zeros(3)
+        top = 1200.0 if trunc > 60 else 25.0
+        means = np.linspace(0.0, top, 15) if trunc else np.zeros(3)
         f_mat = np.vstack([poisson_row(m, trunc) for m in means])
         a = rng.normal(size=(f_mat.shape[0], 4))
         v = rng.normal(size=(trunc + 1, 4))
         solver = _ThetaSolver(f_mat, eps, rho)
+        assert len(solver.plan) == (3 if trunc > 60 else 1)
         expected = self.dense_update(f_mat, eps, rho, a, v)
-        # the ADMM loop passes Fortran-ordered (outcome-major) iterates
+        # the ADMM loop passes Fortran-ordered (outcome-major) iterates; the
+        # update may overwrite v, so each call gets its own copy
         for order in ("C", "F"):
-            theta, f_theta = solver.update(f_mat, np.asarray(a, order=order),
-                                           np.asarray(v, order=order))
+            theta = np.empty(v.shape, order="F")
+            f_theta = solver.update(np.array(a, order=order),
+                                    np.array(v, order=order), theta)
             assert np.abs(theta - expected).max() < 1e-12
             assert np.abs(f_theta - f_mat @ theta).max() < 1e-12
 
@@ -313,6 +322,33 @@ class TestAdmmLayout:
         assert obj == pytest.approx(ref, rel=1e-10, abs=0)
         assert result.theta.shape == expected.shape
         assert result.theta.flags.f_contiguous
+
+    # 40 quadratic probes at truncation 1800: three column blocks of F, each
+    # with exact-zero probe windows; P scaled by 1e-4 makes residual
+    # balancing halve rho once before the stopping test is met
+    @pytest.mark.parametrize("p_scale, rho_changes", [(1.0, 0), (1e-4, 1)])
+    def test_zero_block_products_match_c_ordered_loop(self, p_scale, rho_changes):
+        trunc = 1800
+        f_mat = np.vstack([poisson_row(m, trunc) for m in np.arange(40.0) ** 2])
+        theta_true = build_model_povm(DEVICE3.with_bins(10), trunc).theta
+        rng = np.random.default_rng(7)
+        p_mat = np.vstack([rng.multinomial(450_000, row / row.sum()) / 450_000
+                           for row in f_mat @ theta_true]) * p_scale
+        plan = tomography._zero_block_plan(f_mat)
+        assert len(plan) >= 2
+        assert any(rows != slice(0, f_mat.shape[0]) for rows, _ in plan)
+        result = tomography._admm_phase(f_mat, p_mat, 1e-5, 400)
+        expected, iterations, ref_changes = c_ordered_admm(f_mat, p_mat, 1e-5, 400)
+        assert (result.iterations, result.rho_changes) == (iterations, ref_changes)
+        assert ref_changes == rho_changes
+        obj = tomography._objective(f_mat, p_mat, result.theta, 1e-5)[0]
+        ref = tomography._objective(f_mat, p_mat, expected, 1e-5)[0]
+        assert obj == pytest.approx(ref, rel=1e-10, abs=0)
+
+    def test_lcurve_shape_keeps_one_product(self):
+        # the lcurve_small benchmark's 15 probes at truncation 60
+        f_mat = np.vstack([poisson_row(m, 60) for m in 25.0 * np.arange(15) / 14])
+        assert tomography._zero_block_plan(f_mat) == ((slice(None), slice(None)),)
 
 
 def dense_kkt_qp(Q, b_flat, x0, max_pivots, tol):
