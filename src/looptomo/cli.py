@@ -163,14 +163,15 @@ def _cmd_reconstruct(args) -> int:
     ensemble = fileio.load_ensemble(args.ensemble)
     doc = fileio.load_manifest(args.manifest)
     base = Path(args.manifest).parent
-    hists = [
+    # loaded one at a time, as assemble_outcome_matrix integrates each
+    runs = (
         (fileio.load_histogram(base / run["histogram"]), run["n_pulses"])
         for run in doc["runs"]
-    ]
+    )
     cfg_bin = ingest.BinningConfig(
         n_detector_bins=doc["n_bins"], bin_period_ns=float(doc["bin_period_ns"])
     )
-    matrix = ingest.assemble_outcome_matrix(hists, cfg_bin, ensemble)
+    matrix = ingest.assemble_outcome_matrix(runs, cfg_bin, ensemble)
     probe_matrix = probe_states.build_probe_matrix(ensemble)
 
     sweep_values = None

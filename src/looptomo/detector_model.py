@@ -29,9 +29,12 @@ from .probe_states import poisson_pmf, poisson_window
 BRUTEFORCE_MAX_BINS = 20
 
 _SIM_CHUNK = 1 << 20  # pulses per simulator chunk; fixed so seeds reproduce
-_POVM_CHUNK = 100_000  # model POVM rows per pass of build_model_povm
+_SIM_SEGMENT = 1 << 15  # uniform draws per simulator buffer fill
 # rows per Poisson-binomial pass: its four (bins, block) buffers stay in cache
 _ROW_BLOCK = 1024
+# model POVM rows per pass of build_model_povm: a multiple of _ROW_BLOCK
+# whose temporaries (at 50 outcomes, 3.3 MB each) are small next to theta
+_POVM_CHUNK = 8 * _ROW_BLOCK
 
 
 @dataclass(frozen=True)
@@ -229,9 +232,11 @@ def model_povm_rows(
 def build_model_povm(params: LoopParams, truncation_dim: int) -> POVMSet:
     """Model POVM on Fock states 0..truncation_dim.
 
-    Rows are computed independently in chunks, so truncations up to 1e6
-    photon numbers need no more transient memory than one chunk of the
-    rows x bins click-probability matrix and its transform.
+    Rows are computed independently, _POVM_CHUNK at a time, and written
+    into the one (truncation_dim + 1, n_outcomes) result: the transient
+    memory is that of one chunk's click-probability matrix and transform,
+    so the peak stays near the size of the POVM itself at any truncation.
+    A row is bit-identical to model_povm_rows of that row alone.
     """
     if truncation_dim < 0:
         raise ValueError(f"truncation_dim must be >= 0, got {truncation_dim}")
@@ -288,14 +293,22 @@ def simulate_bin_clicks(
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     bin_counts = np.zeros(params.n_bins, dtype=np.int64)
     outcome_counts = np.zeros(params.n_outcomes, dtype=np.int64)
+    draws = np.empty(min(_SIM_SEGMENT, n_pulses))
+    clicks = np.empty(draws.size, dtype=bool)
     done = 0
     while done < n_pulses:
         chunk = min(_SIM_CHUNK, n_pulses - done)
         occupied = np.zeros(chunk, dtype=np.int16)
         for j in range(params.n_bins):
-            clicks = rng.random(chunk) < c[j]
-            bin_counts[j] += int(clicks.sum())
-            occupied += clicks
+            # segments consume the stream in the order one chunk-long draw
+            # would, so the sample does not depend on _SIM_SEGMENT
+            for start in range(0, chunk, _SIM_SEGMENT):
+                size = min(_SIM_SEGMENT, chunk - start)
+                u, hit = draws[:size], clicks[:size]
+                rng.random(out=u)
+                np.less(u, c[j], out=hit)
+                bin_counts[j] += np.count_nonzero(hit)
+                occupied[start : start + size] += hit
         outcome_counts += np.bincount(occupied, minlength=params.n_outcomes)
         done += chunk
     return ClickSample(bin_counts, outcome_counts, n_pulses)

@@ -162,22 +162,24 @@ class OutcomeMatrix:
 def assemble_outcome_matrix(runs, cfg: BinningConfig, ensemble=None) -> OutcomeMatrix:
     """Stack per-run outcome distributions in probe order.
 
-    ``runs`` is a sequence of (TimeTagHistogram, n_pulses) pairs. When an
-    ensemble is given its length must match the number of runs.
+    ``runs`` is an iterable of (TimeTagHistogram, n_pulses) pairs, consumed
+    one pair at a time: each histogram is reduced to its window totals
+    before the next is taken, so a generator that loads histograms lazily
+    keeps one raw histogram in memory. When an ensemble is given its length
+    must match the number of runs.
     """
-    runs = list(runs)
-    if not runs:
-        raise ConfigError("no runs to assemble")
-    if ensemble is not None and len(ensemble) != len(runs):
-        raise ConfigError(
-            f"{len(runs)} runs but ensemble defines {len(ensemble)} probes"
-        )
     rows = []
     pulses = []
     for hist, n_pulses in runs:
         counts = integrate_histogram(hist, cfg)
         rows.append(outcome_probabilities(bin_probabilities(counts, n_pulses)))
         pulses.append(n_pulses)
+    if not rows:
+        raise ConfigError("no runs to assemble")
+    if ensemble is not None and len(ensemble) != len(rows):
+        raise ConfigError(
+            f"{len(rows)} runs but ensemble defines {len(ensemble)} probes"
+        )
     return OutcomeMatrix(np.vstack(rows), np.asarray(pulses))
 
 

@@ -109,13 +109,24 @@ def poisson_window(mean_photon: float) -> tuple[int, int]:
     return lo, math.ceil(mean_photon + spread) + 32
 
 
+def _complete_truncation(mean_photon: float) -> int:
+    """Smallest truncation whose Poisson row loses at most
+    ROW_COMPLETENESS_TOL of its mass; the row's mass below its
+    poisson_window is far smaller than that and is left out of the sum."""
+    lo, hi = poisson_window(mean_photon)
+    kept = np.cumsum(poisson_pmf(np.arange(lo, hi + 1), mean_photon))
+    return lo + int(np.argmax(1.0 - kept <= ROW_COMPLETENESS_TOL))
+
+
 @dataclass(frozen=True)
 class ProbeEnsemble:
     """Coherent probes, given by their mean photon numbers in probe order,
     plus the shared truncation dimension.
 
-    Without a truncation dimension the ensemble takes the smallest one that
-    keeps ``tail_sigmas`` standard deviations above its largest mean.
+    A truncation dimension must keep ``tail_sigmas`` standard deviations
+    above the largest mean. Without one the ensemble takes the smallest
+    that does and that also leaves every probe row complete to within
+    ROW_COMPLETENESS_TOL, so build_probe_matrix has nothing to warn about.
     """
 
     means: np.ndarray
@@ -139,7 +150,9 @@ class ProbeEnsemble:
         top = float(means.max())
         needed = math.ceil(top + self.tail_sigmas * math.sqrt(top))
         if self.truncation_dim is None:
-            object.__setattr__(self, "truncation_dim", needed)
+            object.__setattr__(
+                self, "truncation_dim", max(needed, _complete_truncation(top))
+            )
         elif self.truncation_dim < needed:
             raise ConfigError(
                 f"truncation_dim {self.truncation_dim} below "
@@ -169,7 +182,7 @@ class ProbeEnsemble:
         """Quadratically spaced means d^2 for d in [0, count).
 
         The default truncation 5328 reproduces the standard 71-probe set;
-        pass ``truncation_dim=None`` to fall back to the 6-sigma formula.
+        pass ``truncation_dim=None`` for the default of the constructor.
         """
         return cls(np.arange(count, dtype=float) ** 2, truncation_dim, tail_sigmas)
 
@@ -204,9 +217,9 @@ def build_probe_matrix(ensemble: ProbeEnsemble) -> ProbeMatrix:
     """Evaluate the Poisson row of every probe at the ensemble truncation.
 
     Emits a warning when a truncated row retains less than
-    ``1 - ROW_COMPLETENESS_TOL`` of its mass; the 6-sigma rule guarantees
-    that only for the largest probe of a wide ensemble, not for an isolated
-    mid-range mean.
+    ``1 - ROW_COMPLETENESS_TOL`` of its mass. The default truncation rules
+    that out; an explicit one that only meets the tail_sigmas minimum can
+    lose more (1.0e-5 of a mean-1 row at truncation 7).
     """
     means = ensemble.means
     trunc = ensemble.truncation_dim

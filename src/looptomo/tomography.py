@@ -16,12 +16,14 @@ Woodbury probe update, two probe-by-Fock products per iteration) handles
 any scale. Its Fock-sized iterates are stored outcome-major (Fortran
 order), so the tridiagonal solve, both products and the sort-free simplex
 projection run over contiguous outcome columns. They live in buffers
-allocated once per solve; F c skips the exact-zero blocks of F's Poisson
-windows, and each projection is warm-started from the previous iterate's
-support, so only rows whose support changed run the full passes. On small
-problems ADMM runs only a short warm-up (_POLISH_WARMUP iterations); an
-active-set Newton polish, wrapped in a majorize-minimize loop for the
-unsquared norm, then pushes the iterate to machine-precision optimality.
+allocated once per solve; F c skips the blocks of F outside its probe
+rows' Poisson windows, cut where the tails left out hold at most 2^-53 of
+a row's mass, and each projection is warm-started from the previous
+iterate's support, so only rows whose support changed run the full
+passes. On small problems ADMM runs only a short warm-up (_POLISH_WARMUP
+iterations); an active-set Newton polish, wrapped in a majorize-minimize
+loop for the unsquared norm, then pushes the iterate to machine-precision
+optimality.
 The polish QP's Hessian is block-diagonal by outcome column, so each step
 factors one Fock-sized block per column and solves a Fock-sized Schur
 system for the row-sum multipliers.
@@ -56,6 +58,7 @@ _ADMM_ALPHA = 1.7  # over-relaxation
 _TINY = np.finfo(float).tiny
 _SWEEP_SLACK = 1e-7  # L-curve monotonicity violations below this are noise
 _PROBE_BLOCK = 704  # Fock columns per block of F in the theta-update's F c
+_TAIL_CUT = 2.0**-53  # share of a probe row's |F| mass that F c may skip
 
 
 @dataclass(frozen=True)
@@ -211,11 +214,12 @@ class _ThetaSolver:
     The tridiagonal solve overwrites v, and theta is written into the
     caller's buffer, so an update allocates nothing of Fock size.
 
-    Each row of F is a Poisson window that underflows to exact zeros
-    outside it. F c therefore runs over _PROBE_BLOCK-wide column blocks of
-    F, each multiplied only by the range of probe rows that holds its
-    nonzeros (_zero_block_plan, built once per F). A problem narrower than
-    one block keeps the single product.
+    Each row of F is a Poisson window that is numerically empty outside a
+    narrow band. F c therefore runs over _PROBE_BLOCK-wide column blocks
+    of F, each multiplied only by the range of probe rows whose window
+    meets it (_zero_block_plan, built once per F); the terms skipped are
+    below the product's own rounding. A problem narrower than one block
+    keeps the single product.
     """
 
     def __init__(self, F: np.ndarray, epsilon: float, rho: float):
@@ -252,7 +256,7 @@ class _ThetaSolver:
             raise np.linalg.LinAlgError(f"probe block not positive (info {info})")
 
     def _f_times(self, c: np.ndarray) -> np.ndarray:
-        """F c, skipping the exact-zero blocks of F when the plan has any."""
+        """F c, skipping the blocks of F outside its rows' windows."""
         F = self._f
         if len(self.plan) == 1:
             return (c.T @ F.T).T
@@ -277,18 +281,38 @@ class _ThetaSolver:
         return self._gram @ g + f_c
 
 
+def _row_windows(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column window [lo, hi) of each row of F: what is left after cutting
+    from each end the longest run whose |F| mass is at most _TAIL_CUT / 2
+    of the row's, so that the two tails together hold at most _TAIL_CUT of
+    it. Computed one row at a time; an all-zero row gets an empty window."""
+    m1 = F.shape[1]
+    lo = np.empty(F.shape[0], dtype=np.intp)
+    hi = np.empty(F.shape[0], dtype=np.intp)
+    for i, row in enumerate(F):
+        mass = np.abs(row)
+        head = np.cumsum(mass)
+        cut = 0.5 * _TAIL_CUT * head[-1]
+        lo[i] = np.searchsorted(head, cut, side="right")
+        hi[i] = m1 - np.searchsorted(np.cumsum(mass[::-1]), cut, side="right")
+    return lo, hi
+
+
 def _zero_block_plan(F: np.ndarray) -> tuple[tuple[slice, slice], ...]:
     """(probe rows, Fock columns) of each _PROBE_BLOCK-wide column block of
-    F that has a nonzero entry, the rows cut to the range holding them."""
+    F that meets a row's window (_row_windows), the rows cut to the range
+    of those whose window meets it. The terms left out are each row's two
+    tails, at most _TAIL_CUT of its |F| mass: below the rounding of F c."""
     m1 = F.shape[1]
     if m1 <= _PROBE_BLOCK:
         return ((slice(None), slice(None)),)
+    lo, hi = _row_windows(F)
     plan = []
     for start in range(0, m1, _PROBE_BLOCK):
-        cols = slice(start, min(start + _PROBE_BLOCK, m1))
-        rows = np.flatnonzero((F[:, cols] != 0).any(axis=1))
+        stop = min(start + _PROBE_BLOCK, m1)
+        rows = np.flatnonzero((lo < np.minimum(hi, stop)) & (hi > start))
         if rows.size:
-            plan.append((slice(rows[0], rows[-1] + 1), cols))
+            plan.append((slice(rows[0], rows[-1] + 1), slice(start, stop)))
     return tuple(plan)
 
 

@@ -16,6 +16,7 @@ from looptomo import (
     UncertaintyBand,
     coherent_outcome_distribution,
     fileio,
+    ingest,
     tomography,
 )
 from looptomo.cli import DEFAULT_SWEEP, _build_parser, main
@@ -640,6 +641,42 @@ def test_fuzz_table_inputs_are_otherwise_accepted(tmp_path, monkeypatch, argv, f
     _fuzz_workspace(tmp_path, monkeypatch, files)
     assert main(argv) == 0
     assert (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_runs", [1, 3])
+def test_reconstruct_run_count_must_match_ensemble(tmp_path, monkeypatch, capsys,
+                                                   n_runs):
+    runs = ", ".join(['{"histogram": "h.csv", "n_pulses": 100}'] * n_runs)
+    manifest = f'{{"runs": [{runs}], "n_bins": 2, "bin_period_ns": 156}}'
+    _fuzz_workspace(tmp_path, monkeypatch, {"m.json": manifest, "h.csv": _hist_csv()})
+    assert main(_RECONSTRUCT) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {n_runs} runs but ensemble defines 2 probes\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_reconstruct_reads_each_histogram_as_it_integrates_it(
+        tmp_path, monkeypatch):
+    """At most one raw histogram is in memory: every load is followed by the
+    integration of that histogram before the next load."""
+    runs = ", ".join(['{"histogram": "h.csv", "n_pulses": 100}'] * 2)
+    manifest = f'{{"runs": [{runs}], "n_bins": 2, "bin_period_ns": 156}}'
+    _fuzz_workspace(tmp_path, monkeypatch, {"m.json": manifest, "h.csv": _hist_csv()})
+    events = []
+
+    def logged(module, name):
+        func = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return func(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    logged(fileio, "load_histogram")
+    logged(ingest, "integrate_histogram")
+    assert main(_RECONSTRUCT) == 0
+    assert events == ["load_histogram", "integrate_histogram"] * 2
 
 
 class TestExitCodes:

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
+
+from looptomo import detector_model
 
 from looptomo import (
     ConfigError,
@@ -239,6 +243,26 @@ class TestBuildModelPovm:
         peaks = [int(np.argmax(povm.theta[:, n])) for n in range(1, 11)]
         assert all(b > a for a, b in zip(peaks[:-1], peaks[1:]))
 
+    def test_rows_across_a_chunk_boundary_match_rows_alone(self):
+        chunk = detector_model._POVM_CHUNK
+        assert chunk % detector_model._ROW_BLOCK == 0
+        params = DEVICE.with_bins(49)
+        theta = build_model_povm(params, chunk + 10).theta
+        for i in (0, chunk - 1, chunk, chunk + 10):
+            np.testing.assert_array_equal(
+                theta[i], model_povm_rows(params, np.array([i]))[0]
+            )
+
+    def test_peak_memory_near_the_povm_itself(self):
+        # 10^5 rows at 50 outcomes: the extrapolation benchmark's POVM
+        tracemalloc.start()
+        try:
+            povm = build_model_povm(DEVICE.with_bins(49), 99_999)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * povm.theta.nbytes
+
 
 @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan]])
 def test_povm_with_nan_is_rejected(row):
@@ -246,7 +270,31 @@ def test_povm_with_nan_is_rejected(row):
         POVMSet(np.array([[1.0, 0.0], row]))
 
 
+def _one_draw_per_bin(params, mean_photon, n_pulses, seed):
+    """The simulator loop with one chunk-long uniform draw per bin."""
+    c = coherent_bin_probs(params, mean_photon)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    bin_counts = np.zeros(params.n_bins, dtype=np.int64)
+    outcome_counts = np.zeros(params.n_outcomes, dtype=np.int64)
+    for done in range(0, n_pulses, detector_model._SIM_CHUNK):
+        occupied = np.zeros(min(detector_model._SIM_CHUNK, n_pulses - done), int)
+        for j in range(params.n_bins):
+            clicks = rng.random(occupied.size) < c[j]
+            bin_counts[j] += clicks.sum()
+            occupied += clicks
+        outcome_counts += np.bincount(occupied, minlength=params.n_outcomes)
+    return bin_counts, outcome_counts
+
+
 class TestSimulator:
+    # segment edges, a two-chunk run and a run shorter than one segment
+    @pytest.mark.parametrize("n_pulses", [1, 5, 1 << 15, (1 << 15) + 1,
+                                          (1 << 20) + 3])
+    def test_buffered_draws_match_one_draw_per_bin(self, n_pulses):
+        sample = simulate_bin_clicks(DEVICE, 9.0, n_pulses, seed=17)
+        bins, outcomes = _one_draw_per_bin(DEVICE, 9.0, n_pulses, seed=17)
+        np.testing.assert_array_equal(sample.bin_counts, bins)
+        np.testing.assert_array_equal(sample.outcome_counts, outcomes)
     def test_vacuum_is_silent(self):
         sample = simulate_bin_clicks(DEVICE, 0.0, 5000, seed=0)
         assert sample.bin_counts.sum() == 0

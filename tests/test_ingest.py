@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -134,6 +136,49 @@ class TestAssembleOutcomeMatrix:
         ens = ProbeEnsemble.from_means([0.0, 1.0], truncation_dim=20)
         with pytest.raises(ConfigError):
             assemble_outcome_matrix([(hist, 100)], CFG, ens)
+
+    @staticmethod
+    def _assembly_peak(n_runs):
+        """tracemalloc peak of assembling n_runs paper-sized raw histograms
+        (140,601 bins) that a generator makes only when they are taken."""
+        totals = np.arange(10) * 1000
+
+        def runs():
+            for _ in range(n_runs):
+                yield histogram_from_bin_counts(totals, CFG), 450_000
+
+        tracemalloc.start()
+        try:
+            matrix = assemble_outcome_matrix(runs(), CFG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.values.shape == (n_runs, 11)
+        return peak
+
+    def test_generator_runs_are_held_one_at_a_time(self):
+        one = histogram_from_bin_counts(np.zeros(10, dtype=int), CFG).counts.nbytes
+        few, many = self._assembly_peak(5), self._assembly_peak(40)
+        assert many <= few + 0.1 * one
+        assert many <= 5 * one
+
+    def test_run_count_is_checked_after_the_last_run(self):
+        hist = histogram_from_bin_counts(np.zeros(10, dtype=int), CFG)
+        ens = ProbeEnsemble.from_means([0.0, 1.0], truncation_dim=20)
+        taken = []
+
+        def runs(n):
+            for k in range(n):
+                taken.append(k)
+                yield hist, 100
+
+        assert assemble_outcome_matrix(runs(2), CFG, ens).values.shape == (2, 11)
+        for n in (1, 3):
+            taken.clear()
+            with pytest.raises(ConfigError, match=f"^{n} runs but ensemble "
+                               "defines 2 probes$"):
+                assemble_outcome_matrix(runs(n), CFG, ens)
+            assert taken == list(range(n))
 
     def test_simulated_ensemble_rows_normalized(self):
         runs = []

@@ -10,6 +10,7 @@ from looptomo import (
     poisson_pmf,
     poisson_row,
 )
+from looptomo.probe_states import ROW_COMPLETENESS_TOL
 
 # mpmath oracle exp(i ln mu - mu - lgamma(i+1)) at 40 digits, mu = 4900
 MPMATH_PMF_4900 = {
@@ -71,11 +72,29 @@ class TestDefaultTruncation:
     def test_vacuum(self):
         assert self._truncation(0.0) == 0
 
+    # the 6-sigma minimum (5320 and 160) leaves 1.5e-9 and 1.3e-8 of these
+    # rows beyond it; the default goes on until 1e-9 or less is left
     def test_largest_probe(self):
-        assert self._truncation(4900.0) == 5320  # 4900 + 6*70
+        assert self._truncation(4900.0) == 5326
 
     def test_round_number(self):
-        assert self._truncation(100.0) == 160
+        assert self._truncation(100.0) == 166
+
+    @pytest.mark.parametrize("means", [[0.0, 1.0], [0.0, 4.0, 25.0], [4900.0]])
+    def test_default_keeps_every_row_complete(self, recwarn, means):
+        ens = ProbeEnsemble.from_means(means)
+        deficit = 1.0 - build_probe_matrix(ens).values.sum(axis=1)
+        assert deficit.max() <= ROW_COMPLETENESS_TOL
+        assert not recwarn.list
+        # one photon less would not do
+        shorter = ProbeEnsemble.from_means(means, ens.truncation_dim - 1)
+        with pytest.warns(UserWarning):
+            build_probe_matrix(shorter)
+
+    def test_explicit_truncation_keeps_the_six_sigma_minimum(self):
+        assert ProbeEnsemble.from_means([4900.0], 5320).truncation_dim == 5320
+        with pytest.raises(ConfigError):
+            ProbeEnsemble.from_means([4900.0], 5319)
 
 
 class TestProbeEnsemble:

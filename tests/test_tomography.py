@@ -345,6 +345,31 @@ class TestAdmmLayout:
         ref = tomography._objective(f_mat, p_mat, expected, 1e-5)[0]
         assert obj == pytest.approx(ref, rel=1e-10, abs=0)
 
+    # the paper's F, and the same windows with random signs and an all-zero
+    # last row
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_windowed_plan_skips_only_the_tails(self, signed):
+        f_mat = np.vstack([poisson_row(float(d * d), 5328) for d in range(71)])
+        rng = np.random.default_rng(3)
+        if signed:
+            f_mat *= rng.choice([-1.0, 1.0], size=f_mat.shape)
+            f_mat[-1] = 0.0
+        plan = tomography._zero_block_plan(f_mat)
+        covered = np.zeros(f_mat.shape, dtype=bool)
+        for rows, cols in plan:
+            covered[rows, cols] = True
+        mass = np.abs(f_mat)
+        skipped = np.where(covered, 0.0, mass).sum(axis=1)
+        assert np.all(skipped <= 2.0**-53 * mass.sum(axis=1))
+        # the exact zeros alone leave 52% of F's area to the product
+        assert covered.mean() < 0.25
+        if signed:
+            assert all(rows.stop < f_mat.shape[0] for rows, _ in plan)
+        c = np.asfortranarray(rng.standard_normal((f_mat.shape[1], 11)))
+        dense = f_mat @ c
+        planned = _ThetaSolver(f_mat, 1e-5, 1.0)._f_times(c)
+        assert np.abs(planned - dense).max() <= 1e-15 * np.abs(dense).max()
+
     def test_lcurve_shape_keeps_one_product(self):
         # the lcurve_small benchmark's 15 probes at truncation 60
         f_mat = np.vstack([poisson_row(m, 60) for m in 25.0 * np.arange(15) / 14])
