@@ -8,7 +8,6 @@ simulator makes every pipeline stage verifiable without hardware.
 """
 
 from .detector_model import (
-    ClickSample,
     LoopParams,
     POVMSet,
     build_model_povm,

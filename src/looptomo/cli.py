@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--dark-prob", type=float, default=0.0)
     sim.add_argument("--bin-width-ps", type=float, default=10.0)
-    sim.add_argument("--raw-bins", type=int, default=None)
     sim.add_argument("--out-dir", required=True)
 
     rec = sub.add_parser("reconstruct", help="reconstruct the POVM set")
@@ -115,7 +114,7 @@ def _cmd_simulate(args) -> int:
     runs = []
     for k, mean in enumerate(ensemble.means.tolist()):
         run_seed = int(np.random.SeedSequence([args.seed, k]).generate_state(1)[0])
-        sample = detector_model.simulate_bin_clicks(
+        totals = detector_model.simulate_bin_clicks(
             params,
             mean,
             args.pulses,
@@ -123,10 +122,7 @@ def _cmd_simulate(args) -> int:
             dark_prob=args.dark_prob,
         )
         hist = ingest.histogram_from_bin_counts(
-            sample.bin_counts,
-            cfg,
-            bin_width_ps=args.bin_width_ps,
-            n_raw_bins=args.raw_bins,
+            totals, cfg, bin_width_ps=args.bin_width_ps
         )
         # made only once a histogram has passed its layout checks
         out_dir.mkdir(parents=True, exist_ok=True)

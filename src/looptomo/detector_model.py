@@ -39,7 +39,11 @@ _POVM_CHUNK = 8 * _ROW_BLOCK
 
 @dataclass(frozen=True)
 class POVMSet:
-    """Diagonal POVM elements theta[i, n] = p(outcome n | i photons)."""
+    """Diagonal POVM elements theta[i, n] = p(outcome n | i photons).
+
+    ``supported`` flags the rows the data determine; without one every row
+    is flagged.
+    """
 
     theta: np.ndarray
     supported: np.ndarray | None = None
@@ -56,12 +60,14 @@ class POVMSet:
             raise ConfigError(f"POVM rows must sum to 1 (worst deviation {dev:.2e})")
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
-        if self.supported is not None:
+        if self.supported is None:
+            supported = np.ones(theta.shape[0], dtype=bool)
+        else:
             supported = np.asarray(self.supported, dtype=bool)
-            if supported.shape != (theta.shape[0],):
-                raise ConfigError("support mask length must match POVM rows")
-            supported.flags.writeable = False
-            object.__setattr__(self, "supported", supported)
+        if supported.shape != (theta.shape[0],):
+            raise ConfigError("support mask length must match POVM rows")
+        supported.flags.writeable = False
+        object.__setattr__(self, "supported", supported)
 
     @property
     def truncation_dim(self) -> int:
@@ -248,19 +254,6 @@ def build_model_povm(params: LoopParams, truncation_dim: int) -> POVMSet:
     return POVMSet(theta)
 
 
-@dataclass(frozen=True)
-class ClickSample:
-    """Result of a joint pulse-train simulation."""
-
-    bin_counts: np.ndarray
-    outcome_counts: np.ndarray
-    n_pulses: int
-
-    @property
-    def bin_probabilities(self) -> np.ndarray:
-        return self.bin_counts / self.n_pulses
-
-
 def _effective_click_probs(
     params: LoopParams, mean_photon: float, dark_prob: float
 ) -> np.ndarray:
@@ -279,39 +272,35 @@ def simulate_bin_clicks(
     n_pulses: int,
     seed: int,
     dark_prob: float = 0.0,
-) -> ClickSample:
-    """Simulate n_pulses pulse trains with independent per-bin clicks.
+) -> np.ndarray:
+    """Per-bin click totals (int64) of n_pulses simulated pulse trains.
 
-    Every (pulse, bin) pair is an independent Bernoulli trial, which makes
-    the joint occupied-bin histogram exactly the Poisson binomial of the
-    marginal rates. Chunking is fixed-size so a given seed reproduces the
-    identical sample regardless of available memory.
+    Every (pulse, bin) pair is an independent Bernoulli trial, drawn as a
+    uniform below the bin's click probability. Chunking is fixed-size so a
+    given seed reproduces the identical totals regardless of available
+    memory.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
     c = _effective_click_probs(params, mean_photon, dark_prob)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     bin_counts = np.zeros(params.n_bins, dtype=np.int64)
-    outcome_counts = np.zeros(params.n_outcomes, dtype=np.int64)
     draws = np.empty(min(_SIM_SEGMENT, n_pulses))
     clicks = np.empty(draws.size, dtype=bool)
     done = 0
     while done < n_pulses:
         chunk = min(_SIM_CHUNK, n_pulses - done)
-        occupied = np.zeros(chunk, dtype=np.int16)
         for j in range(params.n_bins):
             # segments consume the stream in the order one chunk-long draw
-            # would, so the sample does not depend on _SIM_SEGMENT
+            # would, so the totals do not depend on _SIM_SEGMENT
             for start in range(0, chunk, _SIM_SEGMENT):
                 size = min(_SIM_SEGMENT, chunk - start)
                 u, hit = draws[:size], clicks[:size]
                 rng.random(out=u)
                 np.less(u, c[j], out=hit)
                 bin_counts[j] += np.count_nonzero(hit)
-                occupied[start : start + size] += hit
-        outcome_counts += np.bincount(occupied, minlength=params.n_outcomes)
         done += chunk
-    return ClickSample(bin_counts, outcome_counts, n_pulses)
+    return bin_counts
 
 
 def simulate_bin_totals(
@@ -321,11 +310,11 @@ def simulate_bin_totals(
     seed: int,
     dark_prob: float = 0.0,
 ) -> np.ndarray:
-    """Per-bin click totals only, via one binomial draw per bin.
+    """Per-bin click totals via one binomial draw per bin.
 
-    Marginally identical to simulate_bin_clicks but constant-cost in
-    n_pulses; use it when the joint occupied-bin histogram is not needed
-    (bright-state runs, very large pulse counts).
+    The same distribution as simulate_bin_clicks, from a different stream,
+    at a cost that does not grow with n_pulses (bright-state runs, very
+    large pulse counts).
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")

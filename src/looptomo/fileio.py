@@ -264,6 +264,15 @@ def _params_doc(params: LoopParams) -> dict:
     }
 
 
+def _bin_period(doc, path) -> float:
+    """The document's ``bin_period_ns``: a finite JSON number > 0; a string,
+    a boolean, NaN or Infinity is a ConfigError."""
+    period = doc["bin_period_ns"]
+    if not (type(period) in (int, float) and 0 < period < np.inf):
+        raise ConfigError(f"{path}: bin_period_ns must be a finite number > 0")
+    return float(period)
+
+
 def _params_from_doc(doc, path) -> LoopParams:
     with _json_fields(path):
         return LoopParams(
@@ -271,7 +280,7 @@ def _params_from_doc(doc, path) -> LoopParams:
             loop_efficiency=float(doc["eta_loop"]),
             det_efficiency=float(doc["eta_det"]),
             n_bins=int(doc["n_bins"]),
-            bin_period_ns=float(doc.get("bin_period_ns", 156.0)),
+            bin_period_ns=_bin_period(doc, path),
         )
 
 
@@ -388,10 +397,7 @@ def load_manifest(path) -> dict:
             raise ConfigError(f"{path}: a run lacks a histogram path or n_pulses >= 1")
         if not _is_count(doc["n_bins"]):
             raise ConfigError(f"{path}: n_bins must be an integer >= 1")
-        period = doc["bin_period_ns"]
-        # a JSON number: a string, a boolean, NaN or Infinity is refused
-        if not (type(period) in (int, float) and 0 < period < np.inf):
-            raise ConfigError(f"{path}: bin_period_ns must be a finite number > 0")
+        _bin_period(doc, path)
     return doc
 
 
@@ -413,10 +419,8 @@ def load_outcome_matrix(path) -> OutcomeMatrix:
 # -- POVM sets ----------------------------------------------------------------
 
 def save_povm_csv(povm: POVMSet, path) -> None:
-    rows = len(povm.theta)
-    supported = povm.supported if povm.supported is not None else np.ones(rows, bool)
     _write_csv(path, _outcome_header("fock_index", povm.n_outcomes) + ",supported",
-               np.arange(rows), povm.theta, supported)
+               np.arange(len(povm.theta)), povm.theta, povm.supported)
 
 
 def load_povm_csv(path) -> POVMSet:
@@ -490,9 +494,12 @@ def save_fit_result(result: FitResult, path) -> None:
 
 
 def load_fit_params(path) -> LoopParams:
-    """The parameters of a fit result document."""
+    """The parameters of a fit result document. A fit never learns the
+    window layout, so a document without ``bin_period_ns`` gets the
+    ``LoopParams`` default that ``fit`` writes."""
     with _json_fields(path):
-        params = _load_json(path)["params"]
+        params = {"bin_period_ns": LoopParams.bin_period_ns,
+                  **_load_json(path)["params"]}
     return _params_from_doc(params, path)
 
 

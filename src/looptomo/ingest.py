@@ -59,8 +59,11 @@ class TimeTagHistogram:
 class BinningConfig:
     """Placement of the detector time-bin windows on the histogram axis.
 
-    Window j (1-based) is centered at t0 + (j-1) * bin_period. Windows
-    must not overlap and must lie inside the histogram span.
+    Window j (1-based) is centered at t0 + (j-1) * bin_period. The width
+    and the period are finite and > 0, and with two or more windows the
+    period is at least the width, so windows do not overlap. Every reader
+    and writer of window totals builds one of these first; whether the
+    windows fit a histogram's span is checked when it is integrated.
     """
 
     n_detector_bins: int
@@ -70,8 +73,20 @@ class BinningConfig:
     def __post_init__(self):
         if self.n_detector_bins < 1:
             raise ConfigError("n_detector_bins must be >= 1")
-        if self.window_width_ns <= 0:
-            raise ConfigError("window_width_ns must be > 0")
+        # written so that NaN fails
+        if not 0 < self.window_width_ns < np.inf:
+            raise ConfigError(
+                f"window_width_ns must be finite and > 0, got {self.window_width_ns}"
+            )
+        if not 0 < self.bin_period_ns < np.inf:
+            raise ConfigError(
+                f"bin_period_ns must be finite and > 0, got {self.bin_period_ns}"
+            )
+        if self.n_detector_bins > 1 and self.bin_period_ns < self.window_width_ns:
+            raise ConfigError(
+                f"detector windows overlap: {self.window_width_ns} ns windows "
+                f"{self.bin_period_ns} ns apart"
+            )
 
     def offsets_ns(self) -> np.ndarray:
         return np.arange(self.n_detector_bins) * self.bin_period_ns
@@ -86,18 +101,14 @@ def integrate_histogram(hist: TimeTagHistogram, cfg: BinningConfig) -> np.ndarra
     """Total counts inside each detector window; everything else dropped.
 
     A raw bin belongs to a window when its center does. Windows outside the
-    histogram span or overlapping each other are configuration errors.
+    histogram span are configuration errors.
     """
     left, right = cfg.window_edges_ps(hist.t0_ps)
-    order = np.argsort(left)
-    l_sorted, r_sorted = left[order], right[order]
-    if l_sorted[0] < -1e-9 or r_sorted[-1] > hist.span_ps + 1e-9:
+    if left[0] < -1e-9 or right[-1] > hist.span_ps + 1e-9:
         raise ConfigError(
-            f"windows [{l_sorted[0]:.1f}, {r_sorted[-1]:.1f}] ps exceed the "
+            f"windows [{left[0]:.1f}, {right[-1]:.1f}] ps exceed the "
             f"histogram span {hist.span_ps:.1f} ps"
         )
-    if np.any(l_sorted[1:] < r_sorted[:-1] - 1e-9):
-        raise ConfigError("detector windows overlap")
     bw = hist.bin_width_ps
     # raw bin k has center (k + 0.5) * bw
     k_lo = np.ceil(left / bw - 0.5 - 1e-12).astype(int)
@@ -184,17 +195,14 @@ def assemble_outcome_matrix(runs, cfg: BinningConfig, ensemble=None) -> OutcomeM
 
 
 def histogram_from_bin_counts(
-    bin_counts,
-    cfg: BinningConfig,
-    bin_width_ps: float = 10.0,
-    n_raw_bins: int | None = None,
+    bin_counts, cfg: BinningConfig, bin_width_ps: float = 10.0
 ) -> TimeTagHistogram:
     """Synthesize a raw histogram holding the given per-window totals.
 
     Counts are placed at the central raw bin of each window, so
     integrate_histogram recovers them bit-exactly. t0 puts the left edge of
-    the first window at the start of the histogram axis, and the default
-    length is the shortest that holds the last window and one more bin.
+    the first window at the start of the histogram axis, and the histogram
+    is the shortest that holds the last window and one more bin.
     """
     bin_counts = np.asarray(bin_counts, dtype=np.int64)
     if bin_counts.size != cfg.n_detector_bins:
@@ -206,12 +214,7 @@ def histogram_from_bin_counts(
         raise ConfigError(f"bin_width_ps must be finite and > 0, got {bin_width_ps}")
     t0_ps = cfg.window_width_ns * 500.0
     _, right = cfg.window_edges_ps(t0_ps)
-    needed = int(np.ceil(right.max() / bin_width_ps)) + 1
-    if n_raw_bins is None:
-        n_raw_bins = needed
-    elif n_raw_bins < needed:
-        raise ConfigError(f"{n_raw_bins} raw bins, fewer than the {needed} needed")
-    counts = np.zeros(n_raw_bins, dtype=np.int64)
+    counts = np.zeros(int(np.ceil(right[-1] / bin_width_ps)) + 1, dtype=np.int64)
     centers = t0_ps + cfg.offsets_ns() * 1000.0
     k = np.round(centers / bin_width_ps - 0.5).astype(int)
     counts[k] = bin_counts

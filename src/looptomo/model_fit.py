@@ -47,11 +47,11 @@ class FitResult:
     n_evaluations: int
 
 
-def default_starts(n_bins: int, bin_period_ns: float = 156.0) -> list[LoopParams]:
+def default_starts(n_bins: int) -> list[LoopParams]:
     """3 x 3 x 3 grid of start points over the parameter box [0.1, 0.99]^3."""
     grid = (0.1, 0.545, 0.99)
     return [
-        LoopParams(r, el, ed, n_bins, bin_period_ns)
+        LoopParams(r, el, ed, n_bins)
         for r in grid
         for el in grid
         for ed in grid
@@ -79,7 +79,6 @@ def fit_params(
     n_bins: int,
     starts: list[LoopParams] | None = None,
     row_mask: np.ndarray | None = None,
-    bin_period_ns: float = 156.0,
 ) -> FitResult:
     """Fit (reflectivity, loop_efficiency, det_efficiency) to a POVM.
 
@@ -95,7 +94,8 @@ def fit_params(
     unsupported by the reconstruction are excluded from the residual
     unless ``row_mask`` overrides the selection; the subset is drawn from
     the rows that remain. ``n_evaluations`` counts the model calls of both
-    phases.
+    phases. A POVM carries no window layout, so the fitted parameters have
+    ``LoopParams``' default bin period.
 
     The Jacobian at the solution gives the covariance and the flat-direction
     test: a parameter whose +-1% step changes the squared residual by no
@@ -111,14 +111,12 @@ def fit_params(
         mask = np.asarray(row_mask, dtype=bool)
         if mask.shape != (trunc + 1,):
             raise ConfigError("row_mask length must match POVM rows")
-    elif povm_exp.supported is not None:
-        mask = povm_exp.supported
     else:
-        mask = np.ones(trunc + 1, dtype=bool)
+        mask = povm_exp.supported
     if not mask.any():
         raise ConfigError("no rows left to fit after masking")
     if starts is None:
-        starts = default_starts(n_bins, bin_period_ns)
+        starts = default_starts(n_bins)
     if not starts:
         raise ConfigError("at least one start point required")
 
@@ -172,7 +170,7 @@ def fit_params(
         warnings_list.append("singular curvature; uncertainties unavailable")
     sigma[flat] = np.inf
 
-    params = LoopParams(x[0], x[1], x[2], n_bins, bin_period_ns)
+    params = LoopParams(x[0], x[1], x[2], n_bins)
     return FitResult(
         params=params,
         residual=float(np.sqrt(sq_residual)),

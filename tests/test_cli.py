@@ -531,6 +531,14 @@ _NO_LAYOUT = {"m.json": f"{{{_RUNS}}}", "h.csv": _hist_csv()}
 
 _EXTRAPOLATE = ["extrapolate", "--params", "params.json", "--out", "out"]
 
+
+def _params_3_bins(period: str) -> str:
+    """A parameter document of 3 bins, whose windows are 2 ns wide, with the
+    given JSON text as bin_period_ns."""
+    return ('{"R": 0.89613, "eta_loop": 0.9064, "eta_det": 0.4912, "n_bins": 3, '
+            f'"bin_period_ns": {period}}}')
+
+
 # malformed inputs; each once ended in a traceback, a wrong exit code or a
 # NaN result
 FUZZ_TABLE = [
@@ -590,7 +598,12 @@ FUZZ_TABLE = [
     pytest.param(_SIMULATE, {"ens.json": '{"probes": [{"mean_photon": 1}],'
                                          ' "tail_sigmas": Infinity}'},
                  2, id="ensemble-tail-sigmas-infinite"),
-    pytest.param([*_SIMULATE, "--raw-bins", "10"], {}, 2, id="simulate-raw-bins-short"),
+    *[pytest.param(_SIMULATE, {"params.json": _params_3_bins(period)}, 2,
+                   id=f"simulate-bin-period-{name}")
+      for name, period in [("0", "0"), ("1e-9", "1e-9"), ("true", "true"),
+                           ("negative", "-156"), ("nan", "NaN"),
+                           ("infinity", "Infinity"), ("string", '"156"'),
+                           ("overlapping", "1.0")]],
     pytest.param([*_SIMULATE, "--pulses", "-5"], {}, 2, id="simulate-pulses-negative"),
     pytest.param([*_SIMULATE, "--dark-prob", "1.5"], {}, 2,
                  id="simulate-dark-prob-above-one"),
@@ -635,6 +648,8 @@ def test_malformed_input_exit_codes(tmp_path, monkeypatch, capsys, argv, files, 
     pytest.param(_ESTIMATE_CSV, {"h.csv": _hist_csv()}, id="estimate-histogram"),
     pytest.param(_ESTIMATE_DIST, {"d.csv": _DIST_CSV}, id="estimate-outcome-dist"),
     pytest.param([*_RECONSTRUCT, "--mc-band", "2"], _DATA, id="reconstruct-band"),
+    pytest.param(_SIMULATE, {"params.json": _params_3_bins("2")},
+                 id="simulate-touching-windows"),
 ])
 def test_fuzz_table_inputs_are_otherwise_accepted(tmp_path, monkeypatch, argv, files):
     """The valid inputs that FUZZ_TABLE rows break with one flag or field."""

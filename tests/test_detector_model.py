@@ -25,6 +25,8 @@ from looptomo.detector_model import (
     model_povm_rows,
 )
 
+from joint_sample import one_draw_per_bin
+
 DEVICE = LoopParams(
     reflectivity=0.89613,
     loop_efficiency=0.9064,
@@ -264,26 +266,16 @@ class TestBuildModelPovm:
         assert peak <= 1.5 * povm.theta.nbytes
 
 
+def test_povm_without_support_mask_flags_every_row():
+    supported = POVMSet(np.array([[1.0, 0.0], [0.5, 0.5]])).supported
+    np.testing.assert_array_equal(supported, [True, True])
+    assert not supported.flags.writeable
+
+
 @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan]])
 def test_povm_with_nan_is_rejected(row):
     with pytest.raises(ConfigError):
         POVMSet(np.array([[1.0, 0.0], row]))
-
-
-def _one_draw_per_bin(params, mean_photon, n_pulses, seed):
-    """The simulator loop with one chunk-long uniform draw per bin."""
-    c = coherent_bin_probs(params, mean_photon)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    bin_counts = np.zeros(params.n_bins, dtype=np.int64)
-    outcome_counts = np.zeros(params.n_outcomes, dtype=np.int64)
-    for done in range(0, n_pulses, detector_model._SIM_CHUNK):
-        occupied = np.zeros(min(detector_model._SIM_CHUNK, n_pulses - done), int)
-        for j in range(params.n_bins):
-            clicks = rng.random(occupied.size) < c[j]
-            bin_counts[j] += clicks.sum()
-            occupied += clicks
-        outcome_counts += np.bincount(occupied, minlength=params.n_outcomes)
-    return bin_counts, outcome_counts
 
 
 class TestSimulator:
@@ -291,27 +283,25 @@ class TestSimulator:
     @pytest.mark.parametrize("n_pulses", [1, 5, 1 << 15, (1 << 15) + 1,
                                           (1 << 20) + 3])
     def test_buffered_draws_match_one_draw_per_bin(self, n_pulses):
-        sample = simulate_bin_clicks(DEVICE, 9.0, n_pulses, seed=17)
-        bins, outcomes = _one_draw_per_bin(DEVICE, 9.0, n_pulses, seed=17)
-        np.testing.assert_array_equal(sample.bin_counts, bins)
-        np.testing.assert_array_equal(sample.outcome_counts, outcomes)
+        totals = simulate_bin_clicks(DEVICE, 9.0, n_pulses, seed=17)
+        bins, _ = one_draw_per_bin(DEVICE, 9.0, n_pulses, seed=17)
+        assert totals.dtype == np.int64
+        np.testing.assert_array_equal(totals, bins)
+
     def test_vacuum_is_silent(self):
-        sample = simulate_bin_clicks(DEVICE, 0.0, 5000, seed=0)
-        assert sample.bin_counts.sum() == 0
-        assert sample.outcome_counts[0] == 5000
+        assert simulate_bin_clicks(DEVICE, 0.0, 5000, seed=0).sum() == 0
 
     def test_seed_determinism(self):
         a = simulate_bin_clicks(DEVICE, 25.0, 20000, seed=123)
         b = simulate_bin_clicks(DEVICE, 25.0, 20000, seed=123)
-        np.testing.assert_array_equal(a.bin_counts, b.bin_counts)
-        np.testing.assert_array_equal(a.outcome_counts, b.outcome_counts)
+        np.testing.assert_array_equal(a, b)
 
     def test_marginals_within_5_sigma(self):
         n = 450_000  # 30 s at 15 kHz
-        sample = simulate_bin_clicks(DEVICE, 25.0, n, seed=11)
+        totals = simulate_bin_clicks(DEVICE, 25.0, n, seed=11)
         c = coherent_bin_probs(DEVICE, 25.0)
         sigma = np.sqrt(np.maximum(n * c * (1 - c), 1.0))
-        assert np.all(np.abs(sample.bin_counts - n * c) < 5 * sigma)
+        assert np.all(np.abs(totals - n * c) < 5 * sigma)
 
     def test_totals_path_within_5_sigma(self):
         n = 450_000
@@ -325,9 +315,9 @@ class TestSimulator:
         # occupied-bin histogram must match the Poisson binomial of the
         # analytic marginals (chi-square at the 1% level)
         n = 200_000
-        sample = simulate_bin_clicks(DEVICE, 3.0, n, seed=21)
+        _, outcomes = one_draw_per_bin(DEVICE, 3.0, n, seed=21)
         expected = poisson_binomial_pmf(coherent_bin_probs(DEVICE, 3.0)) * n
-        observed = sample.outcome_counts.astype(float)
+        observed = outcomes.astype(float)
         keep = expected > 5.0
         obs = np.append(observed[keep], observed[~keep].sum())
         exp = np.append(expected[keep], expected[~keep].sum())
@@ -337,8 +327,8 @@ class TestSimulator:
     def test_dark_counts_on_vacuum(self):
         n = 2_000_000
         dark = 1e-4  # exaggerated so the test is fast and tight
-        sample = simulate_bin_clicks(DEVICE, 0.0, n, seed=31, dark_prob=dark)
-        rate = sample.bin_counts.sum() / (n * DEVICE.n_bins)
+        totals = simulate_bin_clicks(DEVICE, 0.0, n, seed=31, dark_prob=dark)
+        rate = totals.sum() / (n * DEVICE.n_bins)
         assert rate == pytest.approx(dark, rel=0.2)
 
     def test_mean_occupancy_strictly_increasing(self):

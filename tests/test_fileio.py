@@ -51,6 +51,11 @@ class TestParamsRoundTrip:
         with pytest.raises(ConfigError):
             fileio.load_params(path)
 
+    def test_fit_document_without_period_gets_the_default(self, tmp_path):
+        path = tmp_path / "fit.json"
+        path.write_text('{"params": {%s}}' % _PARAMS)
+        assert fileio.load_fit_params(path) == LoopParams(0.9, 0.9, 0.5, 10)
+
 
 class TestEnsembleRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -255,6 +260,13 @@ class TestPovmRoundTrip:
             "0,1,0,1\n"
             "1,0.25,0.75,1\n"
             "2,0.10000000000000001,0.90000000000000002,0\n"
+        )
+
+    def test_povm_without_support_mask_flags_every_row(self, tmp_path):
+        path = tmp_path / "povm.csv"
+        fileio.save_povm_csv(POVMSet(np.array([[1.0, 0.0], [0.5, 0.5]])), path)
+        assert path.read_text() == (
+            "fock_index,outcome_0,outcome_1,supported\n0,1,0,1\n1,0.5,0.5,1\n"
         )
 
     def test_float_round_trip_is_exact(self, params, tmp_path):
@@ -475,6 +487,7 @@ def test_loaded_support_flags_and_pulses(tmp_path):
 
 
 _RUN = '"runs": [{"histogram": "h.csv", "n_pulses": 5}]'
+_PARAMS = '"R": 0.9, "eta_loop": 0.9, "eta_det": 0.5, "n_bins": 10'
 
 
 @pytest.mark.parametrize(
@@ -507,6 +520,13 @@ _RUN = '"runs": [{"histogram": "h.csv", "n_pulses": 5}]'
         (fileio.load_ensemble, '{"probes": [{"mean_photon": 1}], "tail_sigmas": [6]}'),
         (fileio.load_ensemble, '{"probes": 5}'),
         (fileio.load_params, "5"),
+        (fileio.load_params, "{%s}" % _PARAMS),
+        (fileio.load_params, '{%s, "bin_period_ns": "156"}' % _PARAMS),
+        (fileio.load_params, '{%s, "bin_period_ns": true}' % _PARAMS),
+        (fileio.load_params, '{%s, "bin_period_ns": 0}' % _PARAMS),
+        (fileio.load_params, '{%s, "bin_period_ns": NaN}' % _PARAMS),
+        (fileio.load_fit_params,
+         '{"params": {%s, "bin_period_ns": "156"}}' % _PARAMS),
         (fileio.load_fit_params, '{"params": [0.9]}'),
         (fileio.load_fit_params,
          '{"R": 0.9, "eta_loop": 0.9, "eta_det": 0.5, "n_bins": 10}'),

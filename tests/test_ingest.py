@@ -22,6 +22,8 @@ from looptomo import (
     simulate_bin_clicks,
 )
 
+from joint_sample import one_draw_per_bin
+
 DEVICE = LoopParams(0.89613, 0.9064, 0.4912, 10)
 CFG = BinningConfig(n_detector_bins=10)
 
@@ -47,22 +49,22 @@ class TestIntegrateHistogram:
         assert integrate_histogram(hist, CFG).sum() == 0
 
     def test_simulator_round_trip_is_exact(self):
-        sample = simulate_bin_clicks(DEVICE, 25.0, 50_000, seed=9)
-        hist = histogram_from_bin_counts(sample.bin_counts, CFG)
-        np.testing.assert_array_equal(integrate_histogram(hist, CFG), sample.bin_counts)
+        totals = simulate_bin_clicks(DEVICE, 25.0, 50_000, seed=9)
+        hist = histogram_from_bin_counts(totals, CFG)
+        np.testing.assert_array_equal(integrate_histogram(hist, CFG), totals)
 
     def test_simulator_file_round_trip_is_exact(self, tmp_path):
         # same integers, same division, through the on-disk format
         from looptomo import fileio
 
-        sample = simulate_bin_clicks(DEVICE, 9.0, 30_000, seed=12)
-        hist = histogram_from_bin_counts(sample.bin_counts, CFG)
+        totals = simulate_bin_clicks(DEVICE, 9.0, 30_000, seed=12)
+        hist = histogram_from_bin_counts(totals, CFG)
         fileio.save_histogram_csv(hist, tmp_path / "h.csv")
         back = fileio.load_histogram(tmp_path / "h.csv")
         counts = integrate_histogram(back, CFG)
-        np.testing.assert_array_equal(counts, sample.bin_counts)
+        np.testing.assert_array_equal(counts, totals)
         np.testing.assert_array_equal(
-            bin_probabilities(counts, 30_000), sample.bin_probabilities
+            bin_probabilities(counts, 30_000), totals / 30_000
         )
 
     def test_window_outside_span_rejected(self):
@@ -72,10 +74,22 @@ class TestIntegrateHistogram:
 
     def test_overlapping_windows_rejected(self):
         # 2 ns windows 1 ns apart
-        cfg = BinningConfig(n_detector_bins=3, window_width_ns=2.0, bin_period_ns=1.0)
-        hist = TimeTagHistogram(np.zeros(10_000, dtype=int), 10.0, 1000.0)
         with pytest.raises(ConfigError):
-            integrate_histogram(hist, cfg)
+            BinningConfig(n_detector_bins=3, window_width_ns=2.0, bin_period_ns=1.0)
+
+
+class TestBinningConfig:
+    @pytest.mark.parametrize("field", ["window_width_ns", "bin_period_ns"])
+    @pytest.mark.parametrize("value", [0.0, -156.0, np.nan, np.inf])
+    def test_width_and_period_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite and > 0"):
+            BinningConfig(n_detector_bins=3, **{field: value})
+
+    def test_touching_windows_are_accepted(self):
+        cfg = BinningConfig(n_detector_bins=3, window_width_ns=2.0, bin_period_ns=2.0)
+        totals = np.array([3, 5, 7])
+        hist = histogram_from_bin_counts(totals, cfg)
+        np.testing.assert_array_equal(integrate_histogram(hist, cfg), totals)
 
 
 class TestBinProbabilities:
@@ -91,8 +105,7 @@ class TestBinProbabilities:
 
     def test_simulator_rates_within_5_sigma(self):
         n = 200_000
-        sample = simulate_bin_clicks(DEVICE, 100.0, n, seed=17)
-        p_hat = bin_probabilities(sample.bin_counts, n)
+        p_hat = bin_probabilities(simulate_bin_clicks(DEVICE, 100.0, n, seed=17), n)
         c = coherent_bin_probs(DEVICE, 100.0)
         sigma = np.sqrt(np.maximum(c * (1 - c) / n, 1e-300))
         assert np.all(np.abs(p_hat - c) < 5 * sigma)
@@ -183,8 +196,8 @@ class TestAssembleOutcomeMatrix:
     def test_simulated_ensemble_rows_normalized(self):
         runs = []
         for k, mu in enumerate([0.0, 1.0, 9.0, 100.0]):
-            sample = simulate_bin_clicks(DEVICE, mu, 30_000, seed=100 + k)
-            runs.append((histogram_from_bin_counts(sample.bin_counts, CFG), 30_000))
+            totals = simulate_bin_clicks(DEVICE, mu, 30_000, seed=100 + k)
+            runs.append((histogram_from_bin_counts(totals, CFG), 30_000))
         matrix = assemble_outcome_matrix(runs, CFG)
         assert matrix.values.shape == (4, 11)
         assert np.abs(matrix.values.sum(axis=1) - 1.0).max() < 1e-10
@@ -194,9 +207,9 @@ class TestAssembleOutcomeMatrix:
         # histogram only under independence; exercised here against the
         # simulator's joint sample with a chi-square at the 1% level.
         n = 150_000
-        sample = simulate_bin_clicks(DEVICE, 4.0, n, seed=55)
-        transform = outcome_probabilities(sample.bin_probabilities)
-        observed = sample.outcome_counts.astype(float)
+        bins, outcomes = one_draw_per_bin(DEVICE, 4.0, n, seed=55)
+        transform = outcome_probabilities(bin_probabilities(bins, n))
+        observed = outcomes.astype(float)
         expected = transform * n
         keep = expected > 5.0
         obs = np.append(observed[keep], observed[~keep].sum())
@@ -223,11 +236,3 @@ class TestHistogramSynthesis:
     def test_bad_bin_width_rejected(self, width):
         with pytest.raises(ConfigError):
             histogram_from_bin_counts(np.zeros(10, dtype=int), CFG, bin_width_ps=width)
-
-    def test_raw_bins_below_default_length_rejected(self):
-        ones = np.ones(10, dtype=int)
-        needed = histogram_from_bin_counts(ones, CFG).counts.size
-        hist = histogram_from_bin_counts(ones, CFG, n_raw_bins=needed)
-        assert integrate_histogram(hist, CFG).sum() == 10
-        with pytest.raises(ConfigError):
-            histogram_from_bin_counts(ones, CFG, n_raw_bins=needed - 1)

@@ -413,7 +413,7 @@ def test_int_block_matches_percent_d(v):
 @PROPERTY
 @given(
     n_bins=st.integers(1, 12),
-    period_ns=st.floats(3.0, 200.0),
+    period_ns=st.one_of(st.floats(0.01, 3.0), st.floats(3.0, 200.0)),
     window_ns=st.floats(1.0, 2.5),
     raw_width_ps=st.floats(10.0, 900.0),
     data=st.data(),
@@ -421,6 +421,12 @@ def test_int_block_matches_percent_d(v):
 def test_integration_recovers_synthesized_window_totals(
     n_bins, period_ns, window_ns, raw_width_ps, data
 ):
+    # from the centre of a window, the next one starts at period - window / 2
+    # and this one ends at window / 2
+    if n_bins > 1 and period_ns - window_ns / 2 < window_ns / 2:
+        with pytest.raises(ConfigError, match="^detector windows overlap"):
+            BinningConfig(n_bins, window_width_ns=window_ns, bin_period_ns=period_ns)
+        return
     cfg = BinningConfig(n_bins, window_width_ns=window_ns, bin_period_ns=period_ns)
     totals = data.draw(arrays(np.int64, n_bins, elements=st.integers(0, 2**53)))
     hist = histogram_from_bin_counts(totals, cfg, bin_width_ps=raw_width_ps)
