@@ -65,8 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit loop parameters to a POVM")
     fit.add_argument("--povm", required=True)
     fit.add_argument("--bins", type=int, required=True)
-    fit.add_argument("--all-rows", action="store_true",
-                     help="ignore the support mask and fit every row")
     fit.add_argument("--allow-unconverged", action="store_true")
     fit.add_argument("--out", required=True)
 
@@ -99,9 +97,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(seed: int) -> None:
+    # np.random.SeedSequence raises a ValueError, read as a data error
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def _cmd_simulate(args) -> int:
     if args.pulses < 1:
         raise ConfigError(f"n_pulses must be >= 1, got {args.pulses}")
+    _check_seed(args.seed)
     # written so that NaN fails
     if not 0 <= args.dark_prob < 1:
         raise ConfigError(f"dark_prob must be in [0,1), got {args.dark_prob}")
@@ -156,6 +161,15 @@ def _cmd_reconstruct(args) -> int:
         raise ConfigError(
             f"amplitude_rel_err must be finite and >= 0, got {args.amplitude_err}"
         )
+    _check_seed(args.seed)
+    sweep_values = None
+    if args.epsilon_sweep:
+        try:
+            sweep_values = [float(x) for x in args.epsilon_sweep.split(",")
+                            if x.strip()]
+        except ValueError:
+            raise ConfigError("--epsilon-sweep takes comma-separated numbers, "
+                              f"got {args.epsilon_sweep!r}") from None
     ensemble = fileio.load_ensemble(args.ensemble)
     doc = fileio.load_manifest(args.manifest)
     base = Path(args.manifest).parent
@@ -170,9 +184,6 @@ def _cmd_reconstruct(args) -> int:
     matrix = ingest.assemble_outcome_matrix(runs, cfg_bin, ensemble)
     probe_matrix = probe_states.build_probe_matrix(ensemble)
 
-    sweep_values = None
-    if args.epsilon_sweep:
-        sweep_values = [float(x) for x in args.epsilon_sweep.split(",") if x.strip()]
     epsilon = args.epsilon
     out = Path(args.out)
     solved = None
@@ -228,10 +239,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_fit(args) -> int:
     povm = fileio.load_povm_csv(args.povm)
-    mask = None
-    if args.all_rows:
-        mask = np.ones(povm.truncation_dim + 1, dtype=bool)
-    result = model_fit.fit_params(povm, args.bins, row_mask=mask)
+    result = model_fit.fit_params(povm, args.bins)
     fileio.save_fit_result(result, args.out)
     p = result.params
     print(
@@ -260,6 +268,7 @@ def _cmd_extrapolate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    _check_seed(args.seed)
     params = _load_loop_params(args)
     if args.outcome_dist:
         if args.pulses is not None:

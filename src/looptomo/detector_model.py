@@ -91,7 +91,8 @@ class LoopParams:
     n_bins
         Number of time-bins kept before truncating the pulse train.
     bin_period_ns
-        Round-trip time between bins; metadata only.
+        Round-trip time between bins. ``simulate`` and ``estimate
+        --histogram`` place the detector windows this far apart.
     """
 
     reflectivity: float

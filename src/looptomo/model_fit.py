@@ -78,7 +78,6 @@ def fit_params(
     povm_exp: POVMSet,
     n_bins: int,
     starts: list[LoopParams] | None = None,
-    row_mask: np.ndarray | None = None,
 ) -> FitResult:
     """Fit (reflectivity, loop_efficiency, det_efficiency) to a POVM.
 
@@ -91,11 +90,10 @@ def fit_params(
     2001 rows, 262 of 5329). The lowest-cost solution wins and is polished
     by one more solve on all fitted rows; with at most 65 fitted rows the
     subset is every row and the search result is final. Rows flagged as
-    unsupported by the reconstruction are excluded from the residual
-    unless ``row_mask`` overrides the selection; the subset is drawn from
-    the rows that remain. ``n_evaluations`` counts the model calls of both
-    phases. A POVM carries no window layout, so the fitted parameters have
-    ``LoopParams``' default bin period.
+    unsupported by the reconstruction are excluded from the residual; the
+    subset is drawn from the rows that remain. ``n_evaluations`` counts the
+    model calls of both phases. A POVM carries no window layout, so the
+    fitted parameters have ``LoopParams``' default bin period.
 
     The Jacobian at the solution gives the covariance and the flat-direction
     test: a parameter whose +-1% step changes the squared residual by no
@@ -106,13 +104,7 @@ def fit_params(
         raise ConfigError(
             f"POVM has {povm_exp.n_outcomes} outcomes, expected {n_bins + 1}"
         )
-    trunc = povm_exp.truncation_dim
-    if row_mask is not None:
-        mask = np.asarray(row_mask, dtype=bool)
-        if mask.shape != (trunc + 1,):
-            raise ConfigError("row_mask length must match POVM rows")
-    else:
-        mask = povm_exp.supported
+    mask = povm_exp.supported
     if not mask.any():
         raise ConfigError("no rows left to fit after masking")
     if starts is None:
@@ -120,7 +112,7 @@ def fit_params(
     if not starts:
         raise ConfigError("at least one start point required")
 
-    rows = np.arange(trunc + 1)[mask]
+    rows = np.flatnonzero(mask)
     target = povm_exp.theta[mask]
     search = _search_positions(rows.size)
     n_eval = 0

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ConfigError
 
 _MAX_ENTRIES = 4000
+_BARRIER_FACTOR = 15.0  # growth of the barrier weight between centerings
+_MAX_NEWTON = 150  # Newton steps per centering
 
 
 def _sum_zero_basis(n: int) -> np.ndarray:
@@ -31,8 +33,6 @@ def reconstruct_reference(
     outcomes,
     epsilon: float,
     gap_tol: float = 1e-10,
-    barrier_factor: float = 15.0,
-    max_newton: int = 150,
 ) -> tuple[np.ndarray, float]:
     """Minimize ||P - F T||_F + epsilon * S(T) over row simplexes.
 
@@ -81,7 +81,7 @@ def reconstruct_reference(
     w = np.zeros((m1, n_red))
     t_weight = max(1.0, m_ineq / max(objective(w), 1e-6))
     while True:
-        for _ in range(max_newton):
+        for _ in range(_MAX_NEWTON):
             t_mat = theta_of(w)
             r = P - F @ t_mat
             nr = float(np.linalg.norm(r))
@@ -117,5 +117,5 @@ def reconstruct_reference(
             w = w_next
         if m_ineq / t_weight < gap_tol:
             break
-        t_weight *= barrier_factor
+        t_weight *= _BARRIER_FACTOR
     return theta_of(w), objective(w)

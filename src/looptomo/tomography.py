@@ -89,8 +89,6 @@ class ReconstructionReport:
     wall_time_s: float
     epsilon: float
     n_unsupported: int
-    #: ADMM penalty-parameter changes made by residual balancing
-    rho_changes: int
     #: primal and dual residuals at the last ADMM check, each scaled as in
     #: the stopping test against _ADMM_TOL
     primal_residual: float
@@ -195,15 +193,13 @@ def _fw_gap(F, P, theta, epsilon) -> float:
 
 
 class _ThetaSolver:
-    """Exact theta-update: solve (2 eps DtD + rho I + rho F^T F) theta = b
-    for b = rho F^T a + rho v.
+    """Exact theta-update: solve (I + 2 eps DtD + F^T F) theta = F^T a + v.
 
-    K = rho I + 2 eps DtD is tridiagonal and is factored once per rho as
+    K = I + 2 eps DtD is tridiagonal and is factored once, in __init__, as
     L D L^T (LAPACK dpttrf). The probe Gram term has rank at most the
     number of probes and enters through a Woodbury correction built from
-    the probe-sized G = F K^-1 F^T and W = I / rho + G. With
-    c = rho K^-1 v, solved with the factors of K / rho = L (D / rho) L^T,
-    w = W^-1 (rho G a + F c) and g = rho a - w,
+    the probe-sized G = F K^-1 F^T and W = I + G, also factored there.
+    With c = K^-1 v, w = W^-1 (G a + F c) and g = a - w,
 
         theta = (K^-1 F^T) g + c,    F theta = G g + F c,
 
@@ -222,17 +218,11 @@ class _ThetaSolver:
     keeps the single product.
     """
 
-    def __init__(self, F: np.ndarray, epsilon: float, rho: float):
+    def __init__(self, F: np.ndarray, epsilon: float):
         self._f = F
-        self._epsilon = epsilon
         self.plan = _zero_block_plan(F)
-        self.set_rho(rho)
-
-    def set_rho(self, rho: float):
-        """Refactor K and W for a new penalty rho."""
-        epsilon = self._epsilon
-        m1 = self._f.shape[1]
-        diag = np.full(m1, rho)
+        m1 = F.shape[1]
+        diag = np.ones(m1)
         if m1 > 1:
             diag[[0, -1]] += 2 * epsilon
             diag[1:-1] += 4 * epsilon
@@ -241,17 +231,13 @@ class _ThetaSolver:
         self._d, self._e, info = dpttrf(diag, off)
         if info:
             raise np.linalg.LinAlgError(f"smoothing block not positive (info {info})")
-        self._rho = rho
-        self._d_over_rho = self._d / rho
-        # drop the old matrix first, so that only one K^-1 F^T is ever held
-        self._k_inv_ft = None
         # Fortran-ordered (m1, D) as dpttrs returns it: its .T is a C view
-        self._k_inv_ft = dpttrs(self._d, self._e, self._f.T)[0]
+        self._k_inv_ft = dpttrs(self._d, self._e, F.T)[0]
         self._k_inv_ft[np.abs(self._k_inv_ft) < _TINY] = 0.0
-        self._gram = self._f @ self._k_inv_ft
+        self._gram = F @ self._k_inv_ft
         # subnormal entries cost microcode assists in every product with G
         self._gram[np.abs(self._gram) < _TINY] = 0.0
-        self._w_chol, info = dpotrf(np.eye(self._f.shape[0]) / rho + self._gram)
+        self._w_chol, info = dpotrf(np.eye(F.shape[0]) + self._gram)
         if info:
             raise np.linalg.LinAlgError(f"probe block not positive (info {info})")
 
@@ -266,16 +252,15 @@ class _ThetaSolver:
         return f_c.T
 
     def update(self, a: np.ndarray, v: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Write theta for the right-hand side rho F^T a + rho v into
-        ``theta`` (Fortran-ordered (m1, N)) and return F theta.
+        """Write theta for the right-hand side F^T a + v into ``theta``
+        (Fortran-ordered (m1, N)) and return F theta.
 
         A Fortran-ordered v is overwritten.
         """
-        rho = self._rho
-        c = dpttrs(self._d_over_rho, self._e, v, overwrite_b=1)[0]
+        c = dpttrs(self._d, self._e, v, overwrite_b=1)[0]
         f_c = self._f_times(c)
         # inputs are finite (checked in reconstruct), so call LAPACK directly
-        g = rho * a - dpotrs(self._w_chol, rho * (self._gram @ a) + f_c)[0]
+        g = a - dpotrs(self._w_chol, self._gram @ a + f_c)[0]
         np.matmul(g.T, self._k_inv_ft.T, out=theta.T)
         theta += c
         return self._gram @ g + f_c
@@ -321,13 +306,18 @@ class _AdmmResult(NamedTuple):
     iterations: int
     trace: list
     met: bool  # scaled residuals below _ADMM_TOL
-    rho_changes: int
     primal_residual: float  # scaled, at the last check
     dual_residual: float
 
 
 def _admm_phase(F, P, epsilon, max_iter: int) -> _AdmmResult:
     """Splitting phase: theta-update, residual-norm prox, simplex projection.
+
+    Scaled-form ADMM (Boyd et al., Found. Trends Mach. Learn. 3(1), 2011)
+    at a fixed penalty of 1, so the theta-update's factors are built once.
+    u1 and u2 are the scaled duals of the residual block r_block and of the
+    simplex copy z; the prox of the unsquared norm soft-thresholds the
+    Frobenius norm of v by 1.
 
     The Fock-sized iterates (theta, z, u2) are Fortran-ordered, so each
     outcome column is contiguous for the theta-update and the projection.
@@ -337,7 +327,6 @@ def _admm_phase(F, P, epsilon, max_iter: int) -> _AdmmResult:
     from the support of the previous z.
     """
     n_out = P.shape[1]
-    rho = 1.0
     theta = np.full((F.shape[1], n_out), 1.0 / n_out, order="F")
     z = theta.copy(order="F")
     r_block = P - F @ theta
@@ -346,14 +335,13 @@ def _admm_phase(F, P, epsilon, max_iter: int) -> _AdmmResult:
     y = np.empty_like(theta)
     scratch = np.empty_like(theta)
     support = np.empty(theta.shape, dtype=bool, order="F")
-    solver = _ThetaSolver(F, epsilon, rho)
+    solver = _ThetaSolver(F, epsilon)
     best = z.copy()
     best_obj, _, _ = _objective(F, P, best, epsilon)
     trace = [best_obj]
     norm_primal = np.sqrt(P.size + theta.size)
     norm_dual = np.sqrt(theta.size)
     met = False
-    rho_changes = 0
     pr_scaled = dr_scaled = float("nan")
     it = 0
     for it in range(1, max_iter + 1):
@@ -367,7 +355,7 @@ def _admm_phase(F, P, epsilon, max_iter: int) -> _AdmmResult:
         y += u2
         v = P - f_relaxed + u1
         nv = np.linalg.norm(v)
-        r_block = v * max(0.0, 1.0 - 1.0 / (rho * max(nv, 1e-300)))
+        r_block = v * max(0.0, 1.0 - 1.0 / max(nv, 1e-300))
         z_old = z
         z = project_rows_to_simplex(y, support=np.greater(z_old, 0.0, out=support))
         u1 += P - f_relaxed - r_block
@@ -377,7 +365,7 @@ def _admm_phase(F, P, epsilon, max_iter: int) -> _AdmmResult:
                 np.linalg.norm(P - f_theta - r_block) ** 2
                 + np.linalg.norm(theta - z) ** 2
             )
-            dr = rho * np.linalg.norm(z - z_old)
+            dr = np.linalg.norm(z - z_old)
             obj, _, _ = _objective(F, P, z, epsilon)
             if obj < best_obj:
                 best_obj, best = obj, z
@@ -386,20 +374,7 @@ def _admm_phase(F, P, epsilon, max_iter: int) -> _AdmmResult:
             if max(pr_scaled, dr_scaled) < _ADMM_TOL:
                 met = True
                 break
-            # residual balancing
-            if pr > 10 * dr:
-                rho *= 2.0
-                u1 /= 2.0
-                u2 /= 2.0
-                rho_changes += 1
-                solver.set_rho(rho)
-            elif dr > 10 * pr:
-                rho /= 2.0
-                u1 *= 2.0
-                u2 *= 2.0
-                rho_changes += 1
-                solver.set_rho(rho)
-    return _AdmmResult(best, it, trace, met, rho_changes, pr_scaled, dr_scaled)
+    return _AdmmResult(best, it, trace, met, pr_scaled, dr_scaled)
 
 
 def _kkt_lstsq(Q, b_flat, pinned):
@@ -649,7 +624,6 @@ def reconstruct(
         wall_time_s=time.perf_counter() - t_start,
         epsilon=cfg.epsilon,
         n_unsupported=int((~supported).sum()),
-        rho_changes=admm.rho_changes,
         primal_residual=admm.primal_residual,
         dual_residual=admm.dual_residual,
         objective_trace=tuple(trace),

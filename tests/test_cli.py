@@ -121,7 +121,6 @@ class TestPipeline:
         assert povm_path.exists()
         report = json.loads(povm_path.with_suffix(".report.json").read_text())
         assert report["converged"]
-        assert report["rho_changes"] >= 0
         assert report["primal_residual"] >= 0 and report["dual_residual"] >= 0
         povm = fileio.load_povm_csv(povm_path)
         assert povm.theta.shape == (63, 11)
@@ -605,6 +604,13 @@ FUZZ_TABLE = [
                            ("infinity", "Infinity"), ("string", '"156"'),
                            ("overlapping", "1.0")]],
     pytest.param([*_SIMULATE, "--pulses", "-5"], {}, 2, id="simulate-pulses-negative"),
+    pytest.param([*_SIMULATE, "--seed", "-1"], {}, 2, id="simulate-seed-negative"),
+    pytest.param([*_RECONSTRUCT, "--mc-band", "2", "--seed", "-1"], _DATA, 2,
+                 id="reconstruct-seed-negative"),
+    pytest.param([*_ESTIMATE_CSV, "--bootstrap", "3", "--seed", "-1"],
+                 {"h.csv": _hist_csv()}, 2, id="estimate-seed-negative"),
+    pytest.param([*_RECONSTRUCT, "--epsilon-sweep", "abc"], _DATA, 2,
+                 id="reconstruct-epsilon-sweep-text"),
     pytest.param([*_SIMULATE, "--dark-prob", "1.5"], {}, 2,
                  id="simulate-dark-prob-above-one"),
     pytest.param([*_SIMULATE, "--dark-prob", "nan"], {}, 2, id="simulate-dark-prob-nan"),
@@ -641,7 +647,7 @@ def test_malformed_input_exit_codes(tmp_path, monkeypatch, capsys, argv, files, 
     assert main(argv) == code
     prefix = {2: "configuration error: ", 3: "data error: "}[code]
     assert capsys.readouterr().err.startswith(prefix)
-    assert not (tmp_path / "out").exists()
+    assert list(tmp_path.glob("out*")) == []
 
 
 @pytest.mark.parametrize("argv, files", [

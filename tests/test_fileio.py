@@ -348,7 +348,6 @@ class TestLcurveAndReport:
         path = tmp_path / "r.json"
         fileio.save_report(report, path)
         doc = json.loads(path.read_text())
-        assert doc["rho_changes"] == report.rho_changes
         assert doc["primal_residual"] == report.primal_residual
         assert doc["dual_residual"] == report.dual_residual
 
@@ -361,7 +360,7 @@ class TestLcurveAndReport:
         assert list(json.loads(path.read_text())) == [
             "objective", "residual", "penalty", "smoothness", "iterations",
             "converged", "gap", "wall_time_s", "epsilon", "n_unsupported",
-            "rho_changes", "primal_residual", "dual_residual",
+            "primal_residual", "dual_residual",
         ]
 
 

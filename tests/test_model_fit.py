@@ -89,11 +89,10 @@ class TestFitParams:
                 assert dist > base + 1e-6
 
     def test_row_mask_restricts_fit(self):
-        povm = build_model_povm(DEVICE, 200)
         mask = np.zeros(201, dtype=bool)
         mask[:120] = True
-        result = fit_params(povm, 10, starts=[LoopParams(0.8, 0.8, 0.6, 10)],
-                            row_mask=mask)
+        povm = POVMSet(build_model_povm(DEVICE, 200).theta, supported=mask)
+        result = fit_params(povm, 10, starts=[LoopParams(0.8, 0.8, 0.6, 10)])
         got = np.array(
             [
                 result.params.reflectivity,
@@ -215,7 +214,7 @@ class TestFitParams:
             return model_povm_rows(params, photon_numbers)
 
         monkeypatch.setattr(model_fit, "model_povm_rows", recorded)
-        result = fit_params(noisy, 10, row_mask=mask if masked else None)
+        result = fit_params(POVMSet(noisy.theta, supported=mask), 10)
         got = np.array(
             [
                 result.params.reflectivity,
