@@ -195,11 +195,14 @@ def _cmd_reconstruct(args) -> int:
             max_iterations=args.max_iterations,
             support_threshold=args.support_threshold,
         )
-        if epsilon is None:
-            epsilon = sweep.corner_epsilon
         curve_path = out.with_suffix(".lcurve.csv")
         fileio.save_lcurve(sweep, curve_path)
-        print(f"L-curve written to {curve_path}; corner epsilon {epsilon:g}")
+        print(f"L-curve written to {curve_path}; "
+              f"corner epsilon {sweep.corner_epsilon:g}")
+        if epsilon is None:
+            epsilon = sweep.corner_epsilon
+        elif epsilon != sweep.corner_epsilon:
+            print(f"solving at the given epsilon {epsilon:g}")
         for w in sweep.warnings:
             print(f"warning: {w}")
         # the sweep already solved at every swept epsilon with these settings

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .detector_model import LoopParams, POVMSet, build_model_povm, model_povm_rows
 from .errors import ConfigError
@@ -100,6 +99,9 @@ def fit_params(
     more than a relative 1e-10 (to first order) is reported in ``warnings``,
     gets an infinite uncertainty and makes the result ``converged=False``.
     """
+    # imported here: the other stages have no use for scipy.optimize
+    from scipy.optimize import least_squares
+
     if povm_exp.n_outcomes != n_bins + 1:
         raise ConfigError(
             f"POVM has {povm_exp.n_outcomes} outcomes, expected {n_bins + 1}"

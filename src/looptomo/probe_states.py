@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError
 
@@ -27,14 +26,26 @@ _TINY = np.finfo(float).tiny
 #: Half-width of poisson_window in standard deviations.
 _WINDOW_SIGMAS = 8.0
 
+#: ln n! for n = 0..15, the doubles scipy.special.gammaln(n + 1) returns;
+#: math.lgamma and log(factorial) each miss some of them by one ulp.
+_LN_FACTORIAL = np.array([
+    0.0, 0.0, 0.6931471805599453, 1.791759469228055, 3.1780538303479458,
+    4.787491742782046, 6.579251212010101, 8.525161361065415, 10.60460290274525,
+    12.801827480081469, 15.104412573075516, 17.502307845873887,
+    19.987214495661885, 22.55216385312342, 25.191221182738683,
+    27.899271383840894,
+])
+
 
 def _stirling_correction(n: np.ndarray) -> np.ndarray:
-    """ln n! - [n ln n - n + 0.5 ln(2 pi n)] for n >= 1, to ~1e-16 absolute."""
+    """ln n! - [n ln n - n + 0.5 ln(2 pi n)] for integers n >= 1, to ~1e-16
+    absolute."""
     n = np.asarray(n, dtype=float)
     out = np.empty_like(n)
-    small = n < 16
+    small = n < _LN_FACTORIAL.size
     ns = n[small]
-    out[small] = gammaln(ns + 1.0) - ((ns + 0.5) * np.log(ns) - ns + _LN_SQRT_2PI)
+    out[small] = (_LN_FACTORIAL[ns.astype(np.intp)]
+                  - ((ns + 0.5) * np.log(ns) - ns + _LN_SQRT_2PI))
     nl = n[~small]
     nn = nl * nl
     # truncated Stirling series; next term < 1e-16 for n >= 16

@@ -16,14 +16,16 @@ Woodbury probe update, two probe-by-Fock products per iteration) handles
 any scale. Its Fock-sized iterates are stored outcome-major (Fortran
 order), so the tridiagonal solve, both products and the sort-free simplex
 projection run over contiguous outcome columns. They live in buffers
-allocated once per solve; F c skips the blocks of F outside its probe
-rows' Poisson windows, cut where the tails left out hold at most 2^-53 of
-a row's mass, and each projection is warm-started from the previous
-iterate's support, so only rows whose support changed run the full
-passes. On small problems ADMM runs only a short warm-up (_POLISH_WARMUP
-iterations); an active-set Newton polish, wrapped in a majorize-minimize
-loop for the unsquared norm, then pushes the iterate to machine-precision
-optimality.
+allocated once per solve, and the relaxed point is updated in place, with
+no separate copy of the simplex dual. F and K^-1 F^T are kept only as the
+column blocks that meet their probes' Poisson windows, cut where the tails
+left out hold at most 2^-53 of a probe's mass, and both products, the
+probe Gram matrix and the objective checks run over those blocks. Each
+projection is warm-started from the previous iterate's support, so only
+rows whose support changed run the full passes. On small problems ADMM
+runs only a short warm-up (_POLISH_WARMUP iterations); an active-set
+Newton polish, wrapped in a majorize-minimize loop for the unsquared norm,
+then pushes the iterate to machine-precision optimality.
 The polish QP's Hessian is block-diagonal by outcome column, so each step
 factors one Fock-sized block per column and solves a Fock-sized Schur
 system for the row-sum multipliers.
@@ -206,21 +208,22 @@ class _ThetaSolver:
     so an update costs two products of probe-by-Fock size. Both run on
     transposed views, c^T F^T and g^T (K^-1 F^T)^T, so that with v
     Fortran-ordered (outcome columns contiguous) the Fock-sized operands
-    and theta are all outcome-major; neither F nor K^-1 F^T is copied.
-    The tridiagonal solve overwrites v, and theta is written into the
-    caller's buffer, so an update allocates nothing of Fock size.
+    and theta are all outcome-major. The tridiagonal solve overwrites v,
+    and theta is written into the caller's buffer, so an update allocates
+    nothing of Fock size.
 
     Each row of F is a Poisson window that is numerically empty outside a
-    narrow band. F c therefore runs over _PROBE_BLOCK-wide column blocks
-    of F, each multiplied only by the range of probe rows whose window
-    meets it (_zero_block_plan, built once per F); the terms skipped are
-    below the product's own rounding. A problem narrower than one block
-    keeps the single product.
+    narrow band, and so is each column of K^-1 F^T, which K^-1 smooths only
+    slightly. Both operators are therefore kept only as their
+    _PROBE_BLOCK-wide column blocks (_window_blocks): each block holds the
+    range of probes whose window meets it, with every probe's entries
+    outside its window set to zero. F c, (K^-1 F^T) g and G all run over
+    these blocks; the terms left out are below each product's own rounding,
+    and neither operator is kept at full size. A problem narrower than one
+    block keeps the single products.
     """
 
     def __init__(self, F: np.ndarray, epsilon: float):
-        self._f = F
-        self.plan = _zero_block_plan(F)
         m1 = F.shape[1]
         diag = np.ones(m1)
         if m1 > 1:
@@ -232,24 +235,36 @@ class _ThetaSolver:
         if info:
             raise np.linalg.LinAlgError(f"smoothing block not positive (info {info})")
         # Fortran-ordered (m1, D) as dpttrs returns it: its .T is a C view
-        self._k_inv_ft = dpttrs(self._d, self._e, F.T)[0]
-        self._k_inv_ft[np.abs(self._k_inv_ft) < _TINY] = 0.0
-        self._gram = F @ self._k_inv_ft
-        # subnormal entries cost microcode assists in every product with G
+        self._k_blocks = _window_blocks(dpttrs(self._d, self._e, F.T)[0].T)
+        # subnormal entries of K^-1 F^T and of G cost microcode assists in
+        # every product with them
+        for _, _, blk in self._k_blocks:
+            blk[np.abs(blk) < _TINY] = 0.0
+        self._f_blocks = _window_blocks(F)
+        self.plan = tuple(block[:2] for block in self._f_blocks)
+        # both operators share one partition of the Fock columns
+        self._gram = np.zeros((F.shape[0], F.shape[0]))
+        for (f_rows, _, f_blk), (k_rows, _, k_blk) in zip(self._f_blocks,
+                                                          self._k_blocks):
+            self._gram[f_rows, k_rows] += f_blk @ k_blk.T
         self._gram[np.abs(self._gram) < _TINY] = 0.0
         self._w_chol, info = dpotrf(np.eye(F.shape[0]) + self._gram)
         if info:
             raise np.linalg.LinAlgError(f"probe block not positive (info {info})")
 
     def _f_times(self, c: np.ndarray) -> np.ndarray:
-        """F c, skipping the blocks of F outside its rows' windows."""
-        F = self._f
-        if len(self.plan) == 1:
-            return (c.T @ F.T).T
-        f_c = np.zeros((c.shape[1], F.shape[0]))
-        for rows, cols in self.plan:
-            f_c[:, rows] += c[cols].T @ F[rows, cols].T
+        """F c over the window blocks of F."""
+        f_c = np.zeros((c.shape[1], self._gram.shape[0]))
+        for rows, cols, blk in self._f_blocks:
+            f_c[:, rows] += c[cols].T @ blk.T
         return f_c.T
+
+    def _k_times(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write (K^-1 F^T) g into ``out`` (m1, N) over the window blocks of
+        K^-1 F^T; a block that no window meets has no rows and writes zeros."""
+        for rows, cols, blk in self._k_blocks:
+            np.matmul(g[rows].T, blk, out=out.T[:, cols])
+        return out
 
     def update(self, a: np.ndarray, v: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Write theta for the right-hand side F^T a + v into ``theta``
@@ -261,7 +276,7 @@ class _ThetaSolver:
         f_c = self._f_times(c)
         # inputs are finite (checked in reconstruct), so call LAPACK directly
         g = a - dpotrs(self._w_chol, self._gram @ a + f_c)[0]
-        np.matmul(g.T, self._k_inv_ft.T, out=theta.T)
+        self._k_times(g, theta)
         theta += c
         return self._gram @ g + f_c
 
@@ -283,22 +298,33 @@ def _row_windows(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _zero_block_plan(F: np.ndarray) -> tuple[tuple[slice, slice], ...]:
-    """(probe rows, Fock columns) of each _PROBE_BLOCK-wide column block of
-    F that meets a row's window (_row_windows), the rows cut to the range
-    of those whose window meets it. The terms left out are each row's two
-    tails, at most _TAIL_CUT of its |F| mass: below the rounding of F c."""
-    m1 = F.shape[1]
+def _window_blocks(a: np.ndarray) -> tuple[tuple[slice, slice, np.ndarray], ...]:
+    """(rows, columns, block) for each _PROBE_BLOCK-wide column block of a:
+    the rows are the range of those whose window (_row_windows) meets the
+    columns, empty when none does, and the block is a copy of a[rows,
+    columns] with each row's entries outside its window set to zero. The
+    terms left out of a product are each row's two tails, at most _TAIL_CUT
+    of its |a| mass: below the product's rounding. An array no wider than
+    one block is kept whole, as the one block."""
+    m1 = a.shape[1]
     if m1 <= _PROBE_BLOCK:
-        return ((slice(None), slice(None)),)
-    lo, hi = _row_windows(F)
-    plan = []
+        return ((slice(None), slice(None), a),)
+    lo, hi = _row_windows(a)
+    blocks = []
     for start in range(0, m1, _PROBE_BLOCK):
-        stop = min(start + _PROBE_BLOCK, m1)
-        rows = np.flatnonzero((lo < np.minimum(hi, stop)) & (hi > start))
-        if rows.size:
-            plan.append((slice(rows[0], rows[-1] + 1), slice(start, stop)))
-    return tuple(plan)
+        cols = slice(start, min(start + _PROBE_BLOCK, m1))
+        meets = np.flatnonzero((lo < np.minimum(hi, cols.stop)) & (hi > start))
+        rows = slice(meets[0], meets[-1] + 1) if meets.size else slice(0, 0)
+        blk = a[rows, cols].copy()
+        fock = np.arange(start, cols.stop)
+        blk[(fock < lo[rows, None]) | (fock >= hi[rows, None])] = 0.0
+        blocks.append((rows, cols, blk))
+    return tuple(blocks)
+
+
+def _zero_block_plan(F: np.ndarray) -> tuple[tuple[slice, slice], ...]:
+    """(probe rows, Fock columns) of each block of _window_blocks(F)."""
+    return tuple(block[:2] for block in _window_blocks(F))
 
 
 class _AdmmResult(NamedTuple):
@@ -317,27 +343,34 @@ def _admm_phase(F, P, epsilon, max_iter: int) -> _AdmmResult:
     at a fixed penalty of 1, so the theta-update's factors are built once.
     u1 and u2 are the scaled duals of the residual block r_block and of the
     simplex copy z; the prox of the unsquared norm soft-thresholds the
-    Frobenius norm of v by 1.
+    Frobenius norm of v by 1, and u1 becomes v - r_block.
 
-    The Fock-sized iterates (theta, z, u2) are Fortran-ordered, so each
+    The Fock-sized iterates (theta, z, y) are Fortran-ordered, so each
     outcome column is contiguous for the theta-update and the projection.
-    theta, u2 and the relaxed point y = alpha theta + (1 - alpha) z + u2
-    live in buffers allocated once, and u2 is updated as y - z for the new
-    z, which is u2 + (relaxed theta - z). Each projection is warm-started
-    from the support of the previous z.
+    u2 is never stored: z is the projection of the relaxed point y =
+    alpha theta + (1 - alpha) z + u2, so the new u2 is y - z. y therefore
+    starts as z (u2 = 0), the theta-update's right-hand side z - u2 is
+    2 z - y, and y is updated in place as y + alpha (theta - z). theta and
+    y live in buffers allocated once, and each projection is warm-started
+    from the support of the previous z. The objective checks use the
+    solver's blocked F z.
     """
     n_out = P.shape[1]
     theta = np.full((F.shape[1], n_out), 1.0 / n_out, order="F")
     z = theta.copy(order="F")
+    y = z.copy(order="F")
     r_block = P - F @ theta
     u1 = np.zeros_like(P)
-    u2 = np.zeros_like(theta)
-    y = np.empty_like(theta)
     scratch = np.empty_like(theta)
     support = np.empty(theta.shape, dtype=bool, order="F")
     solver = _ThetaSolver(F, epsilon)
-    best = z.copy()
-    best_obj, _, _ = _objective(F, P, best, epsilon)
+
+    def objective(x):
+        resid = np.linalg.norm(P - solver._f_times(x))
+        return float(resid) + epsilon * smoothness_seminorm(x)
+
+    best = z
+    best_obj = objective(z)
     trace = [best_obj]
     norm_primal = np.sqrt(P.size + theta.size)
     norm_dual = np.sqrt(theta.size)
@@ -345,28 +378,27 @@ def _admm_phase(F, P, epsilon, max_iter: int) -> _AdmmResult:
     pr_scaled = dr_scaled = float("nan")
     it = 0
     for it in range(1, max_iter + 1):
-        np.subtract(z, u2, out=scratch)
+        np.multiply(z, 2.0, out=scratch)
+        scratch -= y
         f_theta = solver.update(P - r_block + u1, scratch, theta)
         # over-relaxation
         f_relaxed = _ADMM_ALPHA * f_theta + (1 - _ADMM_ALPHA) * (P - r_block)
-        np.multiply(theta, _ADMM_ALPHA, out=y)
-        np.multiply(z, 1 - _ADMM_ALPHA, out=scratch)
+        np.subtract(theta, z, out=scratch)
+        scratch *= _ADMM_ALPHA
         y += scratch
-        y += u2
         v = P - f_relaxed + u1
         nv = np.linalg.norm(v)
         r_block = v * max(0.0, 1.0 - 1.0 / max(nv, 1e-300))
         z_old = z
         z = project_rows_to_simplex(y, support=np.greater(z_old, 0.0, out=support))
-        u1 += P - f_relaxed - r_block
-        np.subtract(y, z, out=u2)
+        u1 = v - r_block
         if it % _ADMM_CHECK_EVERY == 0 or it == max_iter:
             pr = np.sqrt(
                 np.linalg.norm(P - f_theta - r_block) ** 2
                 + np.linalg.norm(theta - z) ** 2
             )
             dr = np.linalg.norm(z - z_old)
-            obj, _, _ = _objective(F, P, z, epsilon)
+            obj = objective(z)
             if obj < best_obj:
                 best_obj, best = obj, z
             trace.append(best_obj)
@@ -752,12 +784,13 @@ def epsilon_sweep(
 ) -> SweepResult:
     """Reconstruct at each smoothing weight; collect the L-curve.
 
-    Each point keeps its solve (POVM and report). The residual should be
+    Each distinct epsilon is solved once, and each point keeps its solve
+    (POVM and report). The residual should be
     nondecreasing and the smoothness seminorm nonincreasing in epsilon;
     violations (beyond _SWEEP_SLACK) and solves that stop unconverged are
     reported as warnings, not errors.
     """
-    eps_list = sorted(float(e) for e in epsilons)
+    eps_list = sorted({float(e) for e in epsilons})
     if not eps_list:
         raise ConfigError("epsilon sweep needs at least one value")
     points = []

@@ -700,6 +700,29 @@ def test_reconstruct_reads_each_histogram_as_it_integrates_it(
     assert events == ["load_histogram", "integrate_histogram"] * 2
 
 
+def test_given_epsilon_beside_a_repeated_sweep(tmp_path, monkeypatch, capsys):
+    """The sweep solves 1e-3 once and prints its own corner; the POVM is
+    solved at the given 1e-4, which a second line names."""
+    _fuzz_workspace(tmp_path, monkeypatch, _DATA)
+    solved = []
+    solve = tomography.reconstruct
+
+    def counted(probe_matrix, outcomes, cfg, *args, **kwargs):
+        solved.append(cfg.epsilon)
+        return solve(probe_matrix, outcomes, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(tomography, "reconstruct", counted)
+    assert main([*_RECONSTRUCT, "--epsilon-sweep", "1e-3,1e-3"]) == 0
+    assert solved == [1e-3, 1e-4]
+    lines = capsys.readouterr().out.splitlines()
+    assert "L-curve written to out.lcurve.csv; corner epsilon 0.001" in lines
+    assert "solving at the given epsilon 0.0001" in lines
+    rows = (tmp_path / "out.lcurve.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("0.001,")
+    report = json.loads((tmp_path / "out.report.json").read_text())
+    assert report["epsilon"] == 1e-4
+
+
 class TestExitCodes:
     def test_corrupt_histogram_is_data_error(self, workspace):
         ws, params_path, ensemble_path = workspace
@@ -822,6 +845,15 @@ class TestExitCodes:
         )
         assert out.returncode == 0
         assert "simulate" in out.stdout
+
+    def test_import_leaves_optimize_and_special_unloaded(self):
+        # only fit_params needs scipy.optimize, and it imports it when called
+        code = ("import sys, looptomo.cli; print([m for m in sys.modules "
+                "if m.startswith(('scipy.optimize', 'scipy.special'))])")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
 
 
 def test_readme_command_line_flags_exist():

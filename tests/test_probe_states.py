@@ -10,7 +10,7 @@ from looptomo import (
     poisson_pmf,
     poisson_row,
 )
-from looptomo.probe_states import ROW_COMPLETENESS_TOL
+from looptomo.probe_states import _LN_FACTORIAL, ROW_COMPLETENESS_TOL
 
 # mpmath oracle exp(i ln mu - mu - lgamma(i+1)) at 40 digits, mu = 4900
 MPMATH_PMF_4900 = {
@@ -176,3 +176,9 @@ def test_poisson_pmf_on_window():
     i = np.arange(70990, 71011)
     pm = poisson_pmf(i, 71000.0)
     assert pm.max() == pytest.approx(1.0 / math.sqrt(2 * math.pi * 71000.0), rel=1e-3)
+
+
+def test_ln_factorial_table_is_gammaln_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    n = np.arange(_LN_FACTORIAL.size, dtype=float)
+    assert _LN_FACTORIAL.tobytes() == special.gammaln(n + 1.0).tobytes()

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrs
 
 from looptomo import (
     ConfigError,
@@ -370,6 +371,46 @@ class TestAdmmLayout:
         # the lcurve_small benchmark's 15 probes at truncation 60
         f_mat = np.vstack([poisson_row(m, 60) for m in 25.0 * np.arange(15) / 14])
         assert tomography._zero_block_plan(f_mat) == ((slice(None), slice(None)),)
+
+
+class TestWindowedOperators:
+    """The theta-solver keeps F and K^-1 F^T only as window blocks; on the
+    paper's F they hold each row's mass up to 2^-53 and give the dense
+    products."""
+
+    @pytest.fixture(scope="class")
+    def paper(self):
+        f_mat = np.vstack([poisson_row(float(d * d), 5328) for d in range(71)])
+        solver = _ThetaSolver(f_mat, 1e-5)
+        k_inv_ft = dpttrs(solver._d, solver._e, f_mat.T)[0]
+        return f_mat, k_inv_ft, solver
+
+    def test_k_inv_ft_blocks_skip_only_the_tails(self, paper):
+        f_mat, k_inv_ft, solver = paper
+        dense = k_inv_ft.T  # row j is column j of K^-1 F^T
+        stored = np.zeros(dense.shape)
+        covered = np.zeros(dense.shape, dtype=bool)
+        for rows, cols, blk in solver._k_blocks:
+            stored[rows, cols] = blk
+            covered[rows, cols] = True
+        mass = np.abs(dense).sum(axis=1)
+        assert np.all(np.abs(dense - stored).sum(axis=1) <= 2.0**-53 * mass)
+        assert covered.mean() < 0.25
+
+    def test_blocked_products_match_dense(self, paper):
+        f_mat, k_inv_ft, solver = paper
+        g = np.random.default_rng(5).standard_normal((f_mat.shape[0], 11))
+        dense = k_inv_ft @ g
+        blocked = solver._k_times(g, np.empty(dense.shape, order="F"))
+        assert np.abs(blocked - dense).max() <= 1e-15 * np.abs(dense).max()
+        gram = f_mat @ k_inv_ft
+        assert np.abs(solver._gram - gram).max() <= 1e-15 * np.abs(gram).max()
+
+    def test_no_full_size_operator_is_kept(self, paper):
+        f_mat, _, solver = paper
+        blocks = [blk for _, _, blk in solver._f_blocks + solver._k_blocks]
+        assert all(blk.base is None for blk in blocks)
+        assert sum(blk.size for blk in blocks) <= 0.5 * f_mat.size
 
 
 def dense_kkt_qp(Q, b_flat, x0, max_pivots, tol):
