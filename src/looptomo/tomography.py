@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs, dpttrf, dpttrs
+from scipy.linalg.lapack import (dgetrf, dgetrs, dpotrf, dpotrs, dpttrf,
+                                 dpttrs, dtrtri)
 
 from .detector_model import POVMSet
 from .errors import ConfigError, DataError
@@ -474,10 +475,14 @@ def _active_set_qp(Q, b_flat, x0, max_pivots, tol):
         if info:
             factored[n] = False
             return
-        rhs = np.column_stack([np.eye(free_rows.size), b_cols[free_rows, n]])
-        sol = dpotrs(chol, rhs)[0]
-        h_inv[n][np.ix_(free_rows, free_rows)] = sol[:, :-1]
-        h_inv_b[n, free_rows] = sol[:, -1]
+        # H^-1 = U^-1 U^-T, with U^-1 from dtrtri. A dpotrs against the
+        # identity hands its triangular solves to the BLAS worker threads
+        # from about 40 free rows: at these sizes that keeps a second CPU
+        # spinning and now and then stalls a call for milliseconds, while
+        # dtrtri and the product stay on the calling thread
+        u_inv = dtrtri(chol)[0]
+        h_inv[n][np.ix_(free_rows, free_rows)] = u_inv @ u_inv.T
+        h_inv_b[n, free_rows] = dpotrs(chol, b_cols[free_rows, n])[0]
 
     def block_solve(lu, piv, h_r, r_c):
         """KKT solve given h_r[n] = E_n H_n^-1 r_x[n] and the row-sum part."""
