@@ -298,17 +298,11 @@ def _cmd_estimate(args) -> int:
         seed=args.seed,
     )
     fileio.save_estimate(estimate, args.out)
-    if estimate.confidence_interval is None:
-        print(
-            f"mean photon number {estimate.mean_photon:.6g} (point estimate; "
-            "--bootstrap N --pulses P gives a confidence interval)"
-        )
-    else:
-        lo, hi = estimate.confidence_interval
-        print(
-            f"mean photon number {estimate.mean_photon:.6g} "
-            f"[{lo:.6g}, {hi:.6g}] ({estimate.method})"
-        )
+    interval = estimate.bootstrap_interval
+    shown = ("none (--bootstrap N gives one)" if interval is None
+             else f"[{interval[0]:.6g}, {interval[1]:.6g}]")
+    print(f"mean photon number {estimate.mean_photon:.6g}, "
+          f"95% bootstrap interval {shown}")
     return EXIT_OK
 
 

@@ -47,14 +47,14 @@ _GOLDEN_MAX_STEPS = 5000
 
 @dataclass(frozen=True)
 class BrightStateEstimate:
-    """Estimated mean photon number per pulse with labeled intervals."""
+    """Estimated mean photon number per pulse and its residual distance.
+
+    ``bootstrap_interval`` is the 95% basic bootstrap interval of
+    ``n_bootstrap`` draws, or None when no bootstrap ran.
+    """
 
     mean_photon: float
     residual: float
-    #: the bootstrap interval, or None when no bootstrap ran
-    confidence_interval: tuple[float, float] | None
-    method: str
-    curvature_interval: tuple[float, float]
     bootstrap_interval: tuple[float, float] | None = None
     n_bootstrap: int = 0
 
@@ -203,14 +203,10 @@ def estimate_mean_photon(
     state), and DataError when the residual is flat at its minimum
     (saturated data, which bound the mean only from below).
 
-    The curvature interval scales the quadratic approximation of the
-    squared residual to its doubling point; it is reported on its own and
-    is not a confidence interval (in seeded bright-state trials it held
-    the true mean far less often than 95% of the time). When ``n_pulses``
-    and ``n_bootstrap`` are given, a parametric bootstrap (binomial
-    resampling of every bin at the fitted rates) provides a basic
-    (reflected) interval, which is the reported confidence interval;
-    without a bootstrap the confidence interval is None.
+    When ``n_pulses`` and ``n_bootstrap`` are given, a parametric bootstrap
+    (binomial resampling of every bin at the fitted rates) provides a basic
+    (reflected) 95% interval; without a bootstrap the interval is None.
+    Data without a single click give the exact mean 0 and no bootstrap.
     """
     if n_bootstrap < 0:
         raise ConfigError(f"n_bootstrap must be >= 0, got {n_bootstrap}")
@@ -228,34 +224,16 @@ def estimate_mean_photon(
 
     if p_obs[0] >= 1.0:
         # no clicks at all: the only consistent mean is zero
-        return BrightStateEstimate(
-            mean_photon=0.0,
-            residual=0.0,
-            confidence_interval=(0.0, 0.0),
-            method="no-clicks",
-            curvature_interval=(0.0, 0.0),
-        )
+        return BrightStateEstimate(mean_photon=0.0, residual=0.0)
 
     q = per_photon_bin_probs(params)
     lo, hi = DEFAULT_MU_BOUNDS
     lg = np.linspace(math.log(lo), math.log(hi), _GRID_POINTS)
     log_mu_hat = float(_estimate_rows(p_obs[None, :], q, lg)[0])
     mu_hat = math.exp(log_mu_hat)
-
-    # curvature of the squared residual in log(mu)
-    h = 1e-3
-    d = _distances(log_mu_hat + np.array([h, 0.0, -h]), p_obs, q)
-    residual = float(d[1])
-    sq = d**2
-    second = (sq[0] - 2 * sq[1] + sq[2]) / h**2
-    if second > 0:
-        half_log = math.sqrt(2.0 * sq[1] / second)
-    else:
-        half_log = 0.0
-    curvature_iv = (mu_hat * math.exp(-half_log), mu_hat * math.exp(half_log))
+    residual = float(_distances(np.array([log_mu_hat]), p_obs, q)[0])
 
     bootstrap_iv = None
-    method = "point"
     if n_bootstrap > 0:
         if n_pulses is None:
             raise DataError("bootstrap requires n_pulses")
@@ -272,15 +250,6 @@ def estimate_mean_photon(
             float(max(0.0, 2.0 * mu_hat - q_hi)),
             float(2.0 * mu_hat - q_lo),
         )
-        method = "bootstrap"
 
-    return BrightStateEstimate(
-        mean_photon=mu_hat,
-        residual=residual,
-        confidence_interval=bootstrap_iv,
-        method=method,
-        curvature_interval=curvature_iv,
-        bootstrap_interval=bootstrap_iv,
-        n_bootstrap=n_bootstrap,
-    )
+    return BrightStateEstimate(mu_hat, residual, bootstrap_iv, n_bootstrap)
 

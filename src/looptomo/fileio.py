@@ -301,20 +301,27 @@ def save_ensemble(ensemble: ProbeEnsemble, path) -> None:
             for k, mean in enumerate(ensemble.means.tolist())
         ],
         "truncation_dim": ensemble.truncation_dim,
-        "tail_sigmas": ensemble.tail_sigmas,
     }
     _write_json(path, doc)
 
 
 def load_ensemble(path) -> ProbeEnsemble:
+    """The ensemble a save_ensemble document describes. Each ``mean_photon``
+    must be a JSON number and ``truncation_dim``, when given, a JSON integer
+    >= 0; a string, a boolean or a float truncation is a ConfigError. Other
+    keys (``label``) are ignored."""
     doc = _load_json(path)
     with _json_fields(path):
-        means = [float(p["mean_photon"]) for p in doc["probes"]]
+        means = [p["mean_photon"] for p in doc["probes"]]
+        if not all(type(m) in (int, float) for m in means):
+            raise ConfigError(f"{path}: every mean_photon must be a number")
+        means = [float(m) for m in means]
         truncation_dim = doc.get("truncation_dim")
-        if truncation_dim is not None:
-            truncation_dim = int(truncation_dim)
-        tail_sigmas = float(doc.get("tail_sigmas", 6.0))
-    return ProbeEnsemble.from_means(means, truncation_dim, tail_sigmas)
+    if truncation_dim is not None and not (
+        type(truncation_dim) is int and truncation_dim >= 0
+    ):
+        raise ConfigError(f"{path}: truncation_dim must be an integer >= 0")
+    return ProbeEnsemble.from_means(means, truncation_dim)
 
 
 # -- histograms ---------------------------------------------------------------

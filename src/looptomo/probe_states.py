@@ -2,13 +2,13 @@
 
 The probe set is a list of coherent states with known mean photon numbers.
 Their photon-number statistics are Poissonian, so the ensemble is fully
-described by a matrix of Poisson rows truncated at a common dimension.
+described by a matrix of Poisson rows truncated at a common dimension, one
+that leaves every row complete to within ROW_COMPLETENESS_TOL.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +17,7 @@ from .errors import ConfigError
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-#: Completeness a truncated probe row is expected to retain.
+#: Mass a probe row may lose to the ensemble's truncation.
 ROW_COMPLETENESS_TOL = 1e-9
 
 #: Smallest normal double; poisson_pmf returns 0 below it.
@@ -134,15 +134,13 @@ class ProbeEnsemble:
     """Coherent probes, given by their mean photon numbers in probe order,
     plus the shared truncation dimension.
 
-    A truncation dimension must keep ``tail_sigmas`` standard deviations
-    above the largest mean. Without one the ensemble takes the smallest
-    that does and that also leaves every probe row complete to within
-    ROW_COMPLETENESS_TOL, so build_probe_matrix has nothing to warn about.
+    The truncation must leave every probe row complete to within
+    ROW_COMPLETENESS_TOL: one below _complete_truncation of the largest
+    mean is a ConfigError, and without one the ensemble takes that minimum.
     """
 
     means: np.ndarray
     truncation_dim: int | None = None
-    tail_sigmas: float = 6.0
 
     def __post_init__(self):
         means = np.array(self.means, dtype=float)
@@ -151,51 +149,36 @@ class ProbeEnsemble:
         bad = means[~(np.isfinite(means) & (means >= 0))]
         if bad.size:
             raise ValueError(f"mean_photon must be finite and >= 0, got {bad[0]}")
-        # written so that NaN fails the check
-        if not 0 <= self.tail_sigmas < np.inf:
-            raise ConfigError(
-                f"tail_sigmas must be finite and >= 0, got {self.tail_sigmas}"
-            )
         means.flags.writeable = False
         object.__setattr__(self, "means", means)
-        top = float(means.max())
-        needed = math.ceil(top + self.tail_sigmas * math.sqrt(top))
+        needed = _complete_truncation(float(means.max()))
         if self.truncation_dim is None:
-            object.__setattr__(
-                self, "truncation_dim", max(needed, _complete_truncation(top))
-            )
+            object.__setattr__(self, "truncation_dim", needed)
         elif self.truncation_dim < needed:
             raise ConfigError(
-                f"truncation_dim {self.truncation_dim} below "
-                f"{needed} = max_mean + {self.tail_sigmas} sigma"
+                f"truncation_dim {self.truncation_dim} loses more than "
+                f"{ROW_COMPLETENESS_TOL:g} of a probe row; the smallest "
+                f"complete truncation is {needed}"
             )
 
     def __len__(self) -> int:
         return self.means.size
 
     @classmethod
-    def from_means(
-        cls,
-        means,
-        truncation_dim: int | None = None,
-        tail_sigmas: float = 6.0,
-    ) -> "ProbeEnsemble":
+    def from_means(cls, means, truncation_dim: int | None = None) -> "ProbeEnsemble":
         """The ensemble of the given means; the same as the constructor."""
-        return cls(means, truncation_dim, tail_sigmas)
+        return cls(means, truncation_dim)
 
     @classmethod
     def quadratic(
-        cls,
-        count: int = 71,
-        truncation_dim: int | None = 5328,
-        tail_sigmas: float = 6.0,
+        cls, count: int = 71, truncation_dim: int | None = 5328
     ) -> "ProbeEnsemble":
         """Quadratically spaced means d^2 for d in [0, count).
 
         The default truncation 5328 reproduces the standard 71-probe set;
         pass ``truncation_dim=None`` for the default of the constructor.
         """
-        return cls(np.arange(count, dtype=float) ** 2, truncation_dim, tail_sigmas)
+        return cls(np.arange(count, dtype=float) ** 2, truncation_dim)
 
 
 @dataclass(frozen=True)
@@ -225,23 +208,10 @@ class ProbeMatrix:
 
 
 def build_probe_matrix(ensemble: ProbeEnsemble) -> ProbeMatrix:
-    """Evaluate the Poisson row of every probe at the ensemble truncation.
-
-    Emits a warning when a truncated row retains less than
-    ``1 - ROW_COMPLETENESS_TOL`` of its mass. The default truncation rules
-    that out; an explicit one that only meets the tail_sigmas minimum can
-    lose more (1.0e-5 of a mean-1 row at truncation 7).
-    """
+    """Evaluate the Poisson row of every probe at the ensemble truncation;
+    the ensemble's truncation leaves each row complete to within
+    ROW_COMPLETENESS_TOL."""
     means = ensemble.means
     trunc = ensemble.truncation_dim
     values = np.vstack([poisson_row(m, trunc) for m in means])
-    deficit = 1.0 - values.sum(axis=1)
-    worst = deficit.max()
-    if worst > ROW_COMPLETENESS_TOL:
-        bad = int(np.argmax(deficit))
-        warnings.warn(
-            f"probe {bad} (mean {means[bad]:g}) loses {worst:.2e} of its mass "
-            f"to truncation at {trunc}",
-            stacklevel=2,
-        )
     return ProbeMatrix(values, means, trunc)

@@ -242,7 +242,6 @@ class _ThetaSolver:
         for _, _, blk in self._k_blocks:
             blk[np.abs(blk) < _TINY] = 0.0
         self._f_blocks = _window_blocks(F)
-        self.plan = tuple(block[:2] for block in self._f_blocks)
         # both operators share one partition of the Fock columns
         self._gram = np.zeros((F.shape[0], F.shape[0]))
         for (f_rows, _, f_blk), (k_rows, _, k_blk) in zip(self._f_blocks,
@@ -321,11 +320,6 @@ def _window_blocks(a: np.ndarray) -> tuple[tuple[slice, slice, np.ndarray], ...]
         blk[(fock < lo[rows, None]) | (fock >= hi[rows, None])] = 0.0
         blocks.append((rows, cols, blk))
     return tuple(blocks)
-
-
-def _zero_block_plan(F: np.ndarray) -> tuple[tuple[slice, slice], ...]:
-    """(probe rows, Fock columns) of each block of _window_blocks(F)."""
-    return tuple(block[:2] for block in _window_blocks(F))
 
 
 class _AdmmResult(NamedTuple):

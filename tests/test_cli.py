@@ -193,7 +193,7 @@ class TestPipeline:
         assert code == 0
         doc = json.loads(est_path.read_text())
         assert abs(doc["mean_photon"] / 400.0 - 1.0) < 0.05
-        lo, hi = doc["confidence_interval"]
+        lo, hi = doc["bootstrap_interval"]
         assert lo <= doc["mean_photon"] <= hi
 
     def test_mc_band_and_band_export(self, workspace):
@@ -432,10 +432,11 @@ class TestMoreSurfaces:
         )
         assert code == 0
         doc = json.loads(est_path.read_text())
-        assert doc["confidence_interval"] is None
-        lo, hi = doc["curvature_interval"]
-        assert lo <= doc["mean_photon"] <= hi
-        assert "--bootstrap N --pulses P" in capsys.readouterr().out
+        assert doc["bootstrap_interval"] is None
+        assert capsys.readouterr().out == (
+            f"mean photon number {doc['mean_photon']:.6g}, "
+            "95% bootstrap interval none (--bootstrap N gives one)\n"
+        )
 
     def test_estimate_from_outcome_dist_file(self, tmp_path):
         import looptomo as lt
@@ -594,9 +595,17 @@ FUZZ_TABLE = [
                  2, id="ensemble-truncation-text"),
     pytest.param(_SIMULATE, {"ens.json": '{"probes": [{"mean_photon": Infinity}]}'},
                  3, id="ensemble-mean-infinite"),
-    pytest.param(_SIMULATE, {"ens.json": '{"probes": [{"mean_photon": 1}],'
-                                         ' "tail_sigmas": Infinity}'},
-                 2, id="ensemble-tail-sigmas-infinite"),
+    # mean 0 takes any truncation >= 0, so only the type is refused
+    *[pytest.param(_SIMULATE, {"ens.json": '{"probes": [{"mean_photon": 0}],'
+                                          f' "truncation_dim": {trunc}}}'},
+                   2, id=f"ensemble-truncation-{name}")
+      for name, trunc in [("float", "60.7"), ("string", '"60"'), ("bool", "true")]],
+    pytest.param(_SIMULATE, {"ens.json": '{"probes": [{"mean_photon": "1"}]}'}, 2,
+                 id="ensemble-mean-string"),
+    # mean 25 keeps its row complete to 1e-9 from truncation 60 on
+    pytest.param(_SIMULATE, {"ens.json": '{"probes": [{"mean_photon": 25}],'
+                                         ' "truncation_dim": 59}'},
+                 2, id="ensemble-truncation-one-below-the-rule"),
     *[pytest.param(_SIMULATE, {"params.json": _params_3_bins(period)}, 2,
                    id=f"simulate-bin-period-{name}")
       for name, period in [("0", "0"), ("1e-9", "1e-9"), ("true", "true"),

@@ -28,16 +28,16 @@ class TestEstimateMeanPhoton:
         p = np.zeros(120)
         p[0] = 1.0
         est = estimate_mean_photon(p, BRIGHT)
-        assert est.mean_photon == 0.0
-        assert est.confidence_interval == (0.0, 0.0)
+        assert est == estimation.BrightStateEstimate(0.0, 0.0)
 
-    def test_no_bootstrap_means_no_confidence_interval(self):
+    def test_no_bootstrap_means_no_interval(self):
         p = coherent_outcome_distribution(BRIGHT, 5000.0)
         est = estimate_mean_photon(p, BRIGHT)
-        assert est.confidence_interval is None
         assert est.bootstrap_interval is None
-        lo, hi = est.curvature_interval
-        assert lo <= est.mean_photon <= hi
+        assert est.n_bootstrap == 0
+        q = per_photon_bin_probs(BRIGHT)
+        assert est.residual == estimation._distances(
+            np.array([math.log(est.mean_photon)]), p, q)[0]
 
     def test_noiseless_bright_state(self):
         p = coherent_outcome_distribution(BRIGHT, 71000.0)
@@ -95,7 +95,7 @@ class TestEstimateMeanPhoton:
                 p_hat, BRIGHT, n_pulses=n_pulses, n_bootstrap=99, seed=k
             )
             assert abs(est.mean_photon / mu_true - 1.0) < 0.05
-            lo, hi = est.confidence_interval
+            lo, hi = est.bootstrap_interval
             hits += lo <= mu_true <= hi
         assert hits >= 90
 
@@ -113,7 +113,7 @@ class TestEstimateMeanPhoton:
         b = estimate_mean_photon(p_hat, BRIGHT, n_pulses=n_pulses, n_bootstrap=20,
                                  seed=9)
         assert a.mean_photon == b.mean_photon
-        assert a.confidence_interval == b.confidence_interval
+        assert a.bootstrap_interval == b.bootstrap_interval
 
 
 def _scipy_estimates(p_rows, q, lg):

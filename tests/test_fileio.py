@@ -75,7 +75,7 @@ class TestEnsembleRoundTrip:
             '    {\n      "label": 0,\n      "mean_photon": 0.0\n    },\n'
             '    {\n      "label": 1,\n      "mean_photon": 4.0\n    },\n'
             '    {\n      "label": 2,\n      "mean_photon": 9.0\n    }\n'
-            '  ],\n  "truncation_dim": 40,\n  "tail_sigmas": 6.0\n}\n'
+            '  ],\n  "truncation_dim": 40\n}\n'
         )
 
     def test_labels_are_rewritten_as_the_probe_index(self, tmp_path):
@@ -86,6 +86,13 @@ class TestEnsembleRoundTrip:
         probes = json.loads((tmp_path / "back.json").read_text())["probes"]
         assert probes == [{"label": 0, "mean_photon": 1.0},
                           {"label": 1, "mean_photon": 2.0}]
+
+    def test_keys_it_does_not_read_are_ignored(self, tmp_path):
+        # tail_sigmas: a key older files carry
+        path = tmp_path / "ens.json"
+        path.write_text('{"probes": [{"label": "a", "mean_photon": 1}],'
+                        ' "truncation_dim": 30, "tail_sigmas": 6.0}')
+        assert fileio.load_ensemble(path) == ProbeEnsemble.from_means([1.0], 30)
 
     def test_bare_list_rejected(self, tmp_path):
         path = tmp_path / "ens.json"
@@ -371,33 +378,26 @@ class TestEstimateJson:
         path = tmp_path / "est.json"
         fileio.save_estimate(est, path)
         doc = json.loads(path.read_text())
-        assert doc["confidence_interval"] is None
         assert doc["bootstrap_interval"] is None
-        assert doc["curvature_interval"] == list(est.curvature_interval)
+        assert doc["n_bootstrap"] == 0
 
     def test_pinned_bytes_with_bootstrap(self, tmp_path):
         est = BrightStateEstimate(71234.567890123, 3.0517578125e-05,
-                                  (70980.25, 71490.0), "bootstrap",
-                                  (71100.5, 71368.75), (70980.25, 71490.0), 99)
+                                  (70980.25, 71490.0), 99)
         path = tmp_path / "est.json"
         fileio.save_estimate(est, path)
         assert path.read_text() == (
             '{\n  "mean_photon": 71234.567890123,\n  "residual": 3.0517578125e-05,\n'
-            '  "confidence_interval": [\n    70980.25,\n    71490.0\n  ],\n'
-            '  "method": "bootstrap",\n'
-            '  "curvature_interval": [\n    71100.5,\n    71368.75\n  ],\n'
             '  "bootstrap_interval": [\n    70980.25,\n    71490.0\n  ],\n'
             '  "n_bootstrap": 99\n}\n'
         )
 
     def test_pinned_bytes_without_bootstrap(self, tmp_path):
-        est = BrightStateEstimate(40.0, 0.0, None, "golden", (39.5, 40.5))
+        est = BrightStateEstimate(40.0, 0.0)
         path = tmp_path / "est.json"
         fileio.save_estimate(est, path)
         assert path.read_text() == (
             '{\n  "mean_photon": 40.0,\n  "residual": 0.0,\n'
-            '  "confidence_interval": null,\n  "method": "golden",\n'
-            '  "curvature_interval": [\n    39.5,\n    40.5\n  ],\n'
             '  "bootstrap_interval": null,\n  "n_bootstrap": 0\n}\n'
         )
 
@@ -516,7 +516,13 @@ _PARAMS = '"R": 0.9, "eta_loop": 0.9, "eta_det": 0.5, "n_bins": 10'
         (fileio.load_manifest, '{%s, "n_bins": 10, "bin_period_ns": -156}' % _RUN),
         (fileio.load_ensemble,
          '{"probes": [{"mean_photon": 1}], "truncation_dim": "x"}'),
-        (fileio.load_ensemble, '{"probes": [{"mean_photon": 1}], "tail_sigmas": [6]}'),
+        *[(fileio.load_ensemble,
+           '{"probes": [{"mean_photon": 1}], "truncation_dim": %s}' % trunc)
+          for trunc in ("60.7", '"60"', "true", "-1", "[60]")],
+        (fileio.load_ensemble, '{"probes": [{"mean_photon": "1"}]}'),
+        (fileio.load_ensemble, '{"probes": [{"mean_photon": false}]}'),
+        # an integer beyond the largest double
+        (fileio.load_ensemble, '{"probes": [{"mean_photon": 1%s}]}' % ("0" * 400)),
         (fileio.load_ensemble, '{"probes": 5}'),
         (fileio.load_params, "5"),
         (fileio.load_params, "{%s}" % _PARAMS),

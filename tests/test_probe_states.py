@@ -64,37 +64,40 @@ class TestPoissonRow:
                     assert abs(row[i] - direct) <= 1e-12 * direct
 
 
-class TestDefaultTruncation:
-    @staticmethod
-    def _truncation(max_mean):
-        return ProbeEnsemble.from_means([max_mean], tail_sigmas=6.0).truncation_dim
+class TestTruncationRule:
+    """One rule: a truncation is accepted iff it leaves every probe row
+    complete to within ROW_COMPLETENESS_TOL, and the default is the smallest
+    such truncation."""
 
-    def test_vacuum(self):
-        assert self._truncation(0.0) == 0
-
-    # the 6-sigma minimum (5320 and 160) leaves 1.5e-9 and 1.3e-8 of these
-    # rows beyond it; the default goes on until 1e-9 or less is left
-    def test_largest_probe(self):
-        assert self._truncation(4900.0) == 5326
-
-    def test_round_number(self):
-        assert self._truncation(100.0) == 166
+    @pytest.mark.parametrize("max_mean, truncation", [
+        (0.0, 0), (0.5, 9), (1.0, 11), (25.0, 60), (100.0, 166),
+        (4900.0, 5326), (7.1e4, 72604), (1e6, 1006004),
+    ])
+    def test_default_truncation(self, max_mean, truncation):
+        assert ProbeEnsemble.from_means([0.0, max_mean]).truncation_dim == truncation
 
     @pytest.mark.parametrize("means", [[0.0, 1.0], [0.0, 4.0, 25.0], [4900.0]])
-    def test_default_keeps_every_row_complete(self, recwarn, means):
+    def test_default_keeps_every_row_complete(self, means):
         ens = ProbeEnsemble.from_means(means)
         deficit = 1.0 - build_probe_matrix(ens).values.sum(axis=1)
         assert deficit.max() <= ROW_COMPLETENESS_TOL
-        assert not recwarn.list
-        # one photon less would not do
-        shorter = ProbeEnsemble.from_means(means, ens.truncation_dim - 1)
-        with pytest.warns(UserWarning):
-            build_probe_matrix(shorter)
+        # one photon less would lose more than the tolerance
+        shorter = np.vstack([poisson_row(m, ens.truncation_dim - 1) for m in means])
+        assert (1.0 - shorter.sum(axis=1)).max() > ROW_COMPLETENESS_TOL
 
-    def test_explicit_truncation_keeps_the_six_sigma_minimum(self):
-        assert ProbeEnsemble.from_means([4900.0], 5320).truncation_dim == 5320
-        with pytest.raises(ConfigError):
-            ProbeEnsemble.from_means([4900.0], 5319)
+    # 55 and 5320, 6 sigma above the mean, lose 6.6e-8 and 1.5e-9 of the row
+    @pytest.mark.parametrize("mean, refused, accepted", [
+        (25.0, [55, 59], [60]), (4900.0, [5320, 5325], [5326, 5328]),
+    ])
+    def test_explicit_truncation_keeps_every_row_complete(self, mean, refused,
+                                                          accepted):
+        minimum = accepted[0]
+        for trunc in accepted:
+            assert ProbeEnsemble.from_means([mean], trunc).truncation_dim == trunc
+        for trunc in refused:
+            with pytest.raises(ConfigError,
+                               match=f"smallest complete truncation is {minimum}$"):
+                ProbeEnsemble.from_means([mean], trunc)
 
 
 class TestProbeEnsemble:
@@ -142,15 +145,9 @@ class TestBuildProbeMatrix:
         assert not np.any((v > 0) & (v < np.finfo(float).tiny))
 
     def test_row_completeness_within_1e9(self):
-        # the 6-sigma rule with the 5328 override keeps every tail below 1e-9
+        # the paper's truncation 5328 keeps every tail below 1e-9
         mat = build_probe_matrix(ProbeEnsemble.quadratic())
         assert (1.0 - mat.values.sum(axis=1)).max() <= 1e-9
-
-    def test_marginal_truncation_warns(self):
-        # at exactly 6 sigma a mid-range mean keeps more than 1e-9 in the tail
-        ens = ProbeEnsemble.from_means([25.0], truncation_dim=55)
-        with pytest.warns(UserWarning):
-            build_probe_matrix(ens)
 
     def test_monotone_truncation(self):
         means = [0.0, 4.0, 9.0]

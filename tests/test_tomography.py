@@ -211,7 +211,7 @@ class TestThetaUpdate:
         a = rng.normal(size=(f_mat.shape[0], 4))
         v = rng.normal(size=(trunc + 1, 4))
         solver = _ThetaSolver(f_mat, eps)
-        assert len(solver.plan) == (3 if trunc > 60 else 1)
+        assert len(tomography._window_blocks(f_mat)) == (3 if trunc > 60 else 1)
         expected = self.dense_update(f_mat, eps, a, v)
         # the ADMM loop passes Fortran-ordered (outcome-major) iterates; the
         # update may overwrite v, so each call gets its own copy
@@ -315,7 +315,7 @@ class TestAdmmLayout:
         rng = np.random.default_rng(7)
         p_mat = np.vstack([rng.multinomial(450_000, row / row.sum()) / 450_000
                            for row in f_mat @ theta_true])
-        plan = tomography._zero_block_plan(f_mat)
+        plan = [block[:2] for block in tomography._window_blocks(f_mat)]
         assert len(plan) >= 2
         assert any(rows != slice(0, f_mat.shape[0]) for rows, _ in plan)
         result = tomography._admm_phase(f_mat, p_mat, 1e-5, 400)
@@ -351,7 +351,7 @@ class TestAdmmLayout:
         if signed:
             f_mat *= rng.choice([-1.0, 1.0], size=f_mat.shape)
             f_mat[-1] = 0.0
-        plan = tomography._zero_block_plan(f_mat)
+        plan = [block[:2] for block in tomography._window_blocks(f_mat)]
         covered = np.zeros(f_mat.shape, dtype=bool)
         for rows, cols in plan:
             covered[rows, cols] = True
@@ -370,7 +370,8 @@ class TestAdmmLayout:
     def test_lcurve_shape_keeps_one_product(self):
         # the lcurve_small benchmark's 15 probes at truncation 60
         f_mat = np.vstack([poisson_row(m, 60) for m in 25.0 * np.arange(15) / 14])
-        assert tomography._zero_block_plan(f_mat) == ((slice(None), slice(None)),)
+        (rows, cols, _), = tomography._window_blocks(f_mat)
+        assert (rows, cols) == (slice(None), slice(None))
 
 
 class TestWindowedOperators:
