@@ -80,10 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src = est.add_mutually_exclusive_group(required=True)
     src.add_argument("--fit")
     src.add_argument("--params")
-    data = est.add_mutually_exclusive_group(required=True)
-    data.add_argument("--outcome-dist")
-    data.add_argument("--histogram")
-    est.add_argument("--pulses", type=int, default=None)
+    est.add_argument("--histogram", required=True)
+    est.add_argument("--pulses", type=int, required=True)
     est.add_argument("--bootstrap", type=int, default=0)
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--out", required=True)
@@ -171,16 +169,16 @@ def _cmd_reconstruct(args) -> int:
             raise ConfigError("--epsilon-sweep takes comma-separated numbers, "
                               f"got {args.epsilon_sweep!r}") from None
     ensemble = fileio.load_ensemble(args.ensemble)
-    doc = fileio.load_manifest(args.manifest)
+    manifest_runs, cfg_bin = fileio.load_manifest(args.manifest)
+    for k, ((_, _, run_mean), mean) in enumerate(
+            zip(manifest_runs, ensemble.means.tolist())):
+        if run_mean != mean:
+            raise ConfigError(f"{args.manifest}: run {k} has mean_photon "
+                              f"{run_mean!r}, the ensemble's probe {k} {mean!r}")
     base = Path(args.manifest).parent
     # loaded one at a time, as assemble_outcome_matrix integrates each
-    runs = (
-        (fileio.load_histogram(base / run["histogram"]), run["n_pulses"])
-        for run in doc["runs"]
-    )
-    cfg_bin = ingest.BinningConfig(
-        n_detector_bins=doc["n_bins"], bin_period_ns=float(doc["bin_period_ns"])
-    )
+    runs = ((fileio.load_histogram(base / name), n_pulses)
+            for name, n_pulses, _ in manifest_runs)
     matrix = ingest.assemble_outcome_matrix(runs, cfg_bin, ensemble)
     probe_matrix = probe_states.build_probe_matrix(ensemble)
 
@@ -273,27 +271,16 @@ def _cmd_extrapolate(args) -> int:
 def _cmd_estimate(args) -> int:
     _check_seed(args.seed)
     params = _load_loop_params(args)
-    if args.outcome_dist:
-        if args.pulses is not None:
-            raise ConfigError("--pulses applies to --histogram only; an "
-                              "--outcome-dist file carries its own n_pulses")
-        matrix = fileio.load_outcome_matrix(args.outcome_dist)
-        if len(matrix.n_pulses) != 1:
-            raise ConfigError(f"{args.outcome_dist}: {len(matrix.n_pulses)} "
-                              "outcome rows; estimate takes one")
-    else:
-        if args.pulses is None:
-            raise ConfigError("--histogram needs --pulses")
-        cfg = ingest.BinningConfig(
-            n_detector_bins=params.n_bins, bin_period_ns=params.bin_period_ns
-        )
-        matrix = ingest.assemble_outcome_matrix(
-            [(fileio.load_histogram(args.histogram), args.pulses)], cfg
-        )
+    cfg = ingest.BinningConfig(
+        n_detector_bins=params.n_bins, bin_period_ns=params.bin_period_ns
+    )
+    matrix = ingest.assemble_outcome_matrix(
+        [(fileio.load_histogram(args.histogram), args.pulses)], cfg
+    )
     estimate = estimation.estimate_mean_photon(
         matrix.values[0],
         params,
-        n_pulses=int(matrix.n_pulses[0]),
+        n_pulses=args.pulses,
         n_bootstrap=args.bootstrap,
         seed=args.seed,
     )

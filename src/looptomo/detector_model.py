@@ -91,8 +91,8 @@ class LoopParams:
     n_bins
         Number of time-bins kept before truncating the pulse train.
     bin_period_ns
-        Round-trip time between bins. ``simulate`` and ``estimate
-        --histogram`` place the detector windows this far apart.
+        Round-trip time between bins, finite and > 0. ``simulate`` and
+        ``estimate`` place the detector windows this far apart.
     """
 
     reflectivity: float
@@ -114,6 +114,11 @@ class LoopParams:
             )
         if self.n_bins < 1:
             raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
+        # written so that NaN fails
+        if not 0.0 < self.bin_period_ns < np.inf:
+            raise ValueError(
+                f"bin_period_ns must be finite and > 0, got {self.bin_period_ns}"
+            )
 
     @property
     def n_outcomes(self) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .detector_model import LoopParams, POVMSet
 from .errors import ConfigError, DataError
-from .ingest import OutcomeMatrix, TimeTagHistogram
+from .ingest import BinningConfig, TimeTagHistogram
 from .model_fit import FitResult
 from .probe_states import ProbeEnsemble
 from .tomography import ReconstructionReport, SweepResult, UncertaintyBand
@@ -203,16 +203,18 @@ def _write_csv(path, header: str, *columns) -> None:
             fh.write(_csv_block([col[start:start + step] for col in columns]))
 
 
-def _outcome_header(first: str, n_out: int) -> str:
-    return first + "," + ",".join(f"outcome_{n}" for n in range(n_out))
+def _povm_header(n_out: int) -> str:
+    return "fock_index," + ",".join(f"outcome_{n}" for n in range(n_out)) + ",supported"
 
 
 def _read_csv(path, header_prefix: str, what: str) -> tuple[list[str], np.ndarray]:
-    """Header cells and float body of a numeric CSV artifact.
+    """Header cells and float body of a CSV artifact indexed by Fock row, the
+    body without its leading ``fock_index`` column.
 
     A header not starting with ``header_prefix`` is a ConfigError. An empty
-    body, an unparsable cell, a ragged row or a body whose width differs
-    from the header's is a DataError. Blank lines are skipped.
+    body, an unparsable cell, a ragged row, a body whose width differs from
+    the header's or a ``fock_index`` column other than 0, 1, ..., M is a
+    DataError. Blank lines are skipped.
     """
     try:
         with open(path) as fh:
@@ -228,7 +230,9 @@ def _read_csv(path, header_prefix: str, what: str) -> tuple[list[str], np.ndarra
     cells = header.split(",")
     if body.shape[1] != len(cells):
         raise DataError(f"{path}: {body.shape[1]} values per row, {len(cells)} columns")
-    return cells, body
+    if not np.array_equal(body[:, 0], np.arange(len(body))):
+        raise DataError(f"{path}: fock_index must run 0, 1, ..., {len(body) - 1}")
+    return cells, body[:, 1:]
 
 
 def _write_json(path, doc) -> None:
@@ -245,11 +249,27 @@ def _load_json(path):
 
 @contextlib.contextmanager
 def _json_fields(path):
-    """Read JSON document fields: a missing or mistyped one is a ConfigError."""
+    """Read JSON document fields and build their objects: a missing or
+    mistyped field, or a value its object refuses, is a ConfigError."""
     try:
         yield
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: missing or malformed field: {exc}") from exc
+
+
+_JSON_KINDS = {float: "number", int: "integer", str: "string"}
+
+
+def _typed(doc, key: str, path, kind=float):
+    """``doc[key]`` as ``kind``: a JSON number for float, a JSON integer for
+    int, a JSON string for str. A boolean, a string where a number is wanted
+    or a float where an integer is wanted is a ConfigError; ranges are left
+    to the object the field builds."""
+    value = doc[key]
+    if type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    raise ConfigError(f"{path}: {key} must be a JSON {_JSON_KINDS[kind]}, "
+                      f"got {value!r}")
 
 
 # -- model parameters ---------------------------------------------------------
@@ -264,23 +284,14 @@ def _params_doc(params: LoopParams) -> dict:
     }
 
 
-def _bin_period(doc, path) -> float:
-    """The document's ``bin_period_ns``: a finite JSON number > 0; a string,
-    a boolean, NaN or Infinity is a ConfigError."""
-    period = doc["bin_period_ns"]
-    if not (type(period) in (int, float) and 0 < period < np.inf):
-        raise ConfigError(f"{path}: bin_period_ns must be a finite number > 0")
-    return float(period)
-
-
 def _params_from_doc(doc, path) -> LoopParams:
     with _json_fields(path):
         return LoopParams(
-            reflectivity=float(doc["R"]),
-            loop_efficiency=float(doc["eta_loop"]),
-            det_efficiency=float(doc["eta_det"]),
-            n_bins=int(doc["n_bins"]),
-            bin_period_ns=_bin_period(doc, path),
+            reflectivity=_typed(doc, "R", path),
+            loop_efficiency=_typed(doc, "eta_loop", path),
+            det_efficiency=_typed(doc, "eta_det", path),
+            n_bins=_typed(doc, "n_bins", path, int),
+            bin_period_ns=_typed(doc, "bin_period_ns", path),
         )
 
 
@@ -306,22 +317,15 @@ def save_ensemble(ensemble: ProbeEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> ProbeEnsemble:
-    """The ensemble a save_ensemble document describes. Each ``mean_photon``
-    must be a JSON number and ``truncation_dim``, when given, a JSON integer
-    >= 0; a string, a boolean or a float truncation is a ConfigError. Other
-    keys (``label``) are ignored."""
+    """The ensemble a save_ensemble document describes: each ``mean_photon``
+    a JSON number and ``truncation_dim``, which may be left out, a JSON
+    integer. Other keys (``label``) are ignored."""
     doc = _load_json(path)
     with _json_fields(path):
-        means = [p["mean_photon"] for p in doc["probes"]]
-        if not all(type(m) in (int, float) for m in means):
-            raise ConfigError(f"{path}: every mean_photon must be a number")
-        means = [float(m) for m in means]
-        truncation_dim = doc.get("truncation_dim")
-    if truncation_dim is not None and not (
-        type(truncation_dim) is int and truncation_dim >= 0
-    ):
-        raise ConfigError(f"{path}: truncation_dim must be an integer >= 0")
-    return ProbeEnsemble.from_means(means, truncation_dim)
+        means = [_typed(p, "mean_photon", path) for p in doc["probes"]]
+        truncation_dim = (_typed(doc, "truncation_dim", path, int)
+                          if "truncation_dim" in doc else None)
+        return ProbeEnsemble.from_means(means, truncation_dim)
 
 
 # -- histograms ---------------------------------------------------------------
@@ -388,45 +392,28 @@ def save_manifest(
                        "n_bins": n_bins, "bin_period_ns": bin_period_ns})
 
 
-def _is_count(value) -> bool:
-    """A JSON integer >= 1 (not a float, not a boolean)."""
-    return type(value) is int and value >= 1
-
-
-def load_manifest(path) -> dict:
-    """The manifest document, with every field ``reconstruct`` reads checked."""
+def load_manifest(path) -> tuple[list[tuple[str, int, float]], BinningConfig]:
+    """The manifest's runs as (histogram, n_pulses, mean_photon) and the
+    window layout its ``n_bins`` and ``bin_period_ns`` place. Keys that
+    ``reconstruct`` does not read (``seed``, ``dark_prob``, ``label``) are
+    ignored."""
     doc = _load_json(path)
     with _json_fields(path):
-        if not doc["runs"]:
+        runs = [(_typed(run, "histogram", path, str),
+                 _typed(run, "n_pulses", path, int),
+                 _typed(run, "mean_photon", path)) for run in doc["runs"]]
+        if not runs:
             raise ConfigError(f"{path}: manifest has no runs")
-        if not all(isinstance(run["histogram"], str) and _is_count(run["n_pulses"])
-                   for run in doc["runs"]):
-            raise ConfigError(f"{path}: a run lacks a histogram path or n_pulses >= 1")
-        if not _is_count(doc["n_bins"]):
-            raise ConfigError(f"{path}: n_bins must be an integer >= 1")
-        _bin_period(doc, path)
-    return doc
-
-
-# -- outcome matrices ---------------------------------------------------------
-
-def save_outcome_matrix(matrix: OutcomeMatrix, path) -> None:
-    _write_csv(path, _outcome_header("n_pulses", matrix.n_outcomes),
-               matrix.n_pulses, matrix.values)
-
-
-def load_outcome_matrix(path) -> OutcomeMatrix:
-    _, body = _read_csv(path, "n_pulses,outcome_0", "an outcome matrix CSV")
-    pulses = body[:, 0]
-    if not np.all((np.abs(pulses) < 2.0**63) & (pulses == np.round(pulses))):
-        raise DataError(f"{path}: n_pulses must be integers")
-    return OutcomeMatrix(np.ascontiguousarray(body[:, 1:]), pulses.astype(np.int64))
+        return runs, BinningConfig(
+            n_detector_bins=_typed(doc, "n_bins", path, int),
+            bin_period_ns=_typed(doc, "bin_period_ns", path),
+        )
 
 
 # -- POVM sets ----------------------------------------------------------------
 
 def save_povm_csv(povm: POVMSet, path) -> None:
-    _write_csv(path, _outcome_header("fock_index", povm.n_outcomes) + ",supported",
+    _write_csv(path, _povm_header(povm.n_outcomes),
                np.arange(len(povm.theta)), povm.theta, povm.supported)
 
 
@@ -437,7 +424,7 @@ def load_povm_csv(path) -> POVMSet:
     flags = body[:, -1]
     if not np.all((flags == 0) | (flags == 1)):
         raise DataError(f"{path}: support flags must be 0 or 1")
-    return POVMSet(np.ascontiguousarray(body[:, 1:-1]), flags == 1)
+    return POVMSet(np.ascontiguousarray(body[:, :-1]), flags == 1)
 
 
 def save_report(report: ReconstructionReport, path) -> None:
@@ -469,7 +456,7 @@ def load_band(path) -> tuple[np.ndarray, np.ndarray]:
     cells, body = _read_csv(path, "fock_index,lo_0", "a band CSV")
     if ",".join(cells) != _band_header((len(cells) - 1) // 2):
         raise ConfigError(f"{path}: band header must be fock_index, lo_n,hi_n pairs")
-    return body[:, 1::2], body[:, 2::2]
+    return body[:, 0::2], body[:, 1::2]
 
 
 def save_plot_series(povm: POVMSet, grid, band, out_dir) -> None:

@@ -10,11 +10,10 @@ import pytest
 
 from looptomo import (
     LoopParams,
-    OutcomeMatrix,
     POVMSet,
     ProbeEnsemble,
     UncertaintyBand,
-    coherent_outcome_distribution,
+    coherent_bin_probs,
     fileio,
     ingest,
     tomography,
@@ -51,6 +50,13 @@ def _simulate(ws, seed=7, pulses=20_000, out="data"):
     )
     assert code == 0
     return out_dir
+
+
+def _window_histogram(path, totals):
+    """A histogram CSV holding the given window totals, one window per
+    detector bin of PARAMS' 156 ns layout."""
+    cfg = ingest.BinningConfig(n_detector_bins=len(totals))
+    fileio.save_histogram_csv(ingest.histogram_from_bin_counts(totals, cfg), path)
 
 
 def _quotes_gap(prefix, lines):
@@ -416,49 +422,27 @@ class TestMoreSurfaces:
     def test_estimate_without_bootstrap_reports_no_interval(self, tmp_path, capsys):
         params_path = tmp_path / "params.json"
         fileio.save_params(PARAMS, params_path)
-        p_obs = coherent_outcome_distribution(PARAMS, 250.0)
-        dist_path = tmp_path / "dist.csv"
-        fileio.save_outcome_matrix(
-            OutcomeMatrix(p_obs[None, :], np.array([10**6])), dist_path
-        )
+        hist_path = tmp_path / "hist.csv"
+        totals = np.round(10**6 * coherent_bin_probs(PARAMS, 250.0))
+        _window_histogram(hist_path, totals)
         est_path = tmp_path / "est.json"
         code = main(
             [
                 "estimate",
                 "--params", str(params_path),
-                "--outcome-dist", str(dist_path),
+                "--histogram", str(hist_path),
+                "--pulses", str(10**6),
                 "--out", str(est_path),
             ]
         )
         assert code == 0
         doc = json.loads(est_path.read_text())
+        assert abs(doc["mean_photon"] / 250.0 - 1.0) < 1e-3
         assert doc["bootstrap_interval"] is None
         assert capsys.readouterr().out == (
             f"mean photon number {doc['mean_photon']:.6g}, "
             "95% bootstrap interval none (--bootstrap N gives one)\n"
         )
-
-    def test_estimate_from_outcome_dist_file(self, tmp_path):
-        import looptomo as lt
-
-        params_path = tmp_path / "params.json"
-        fileio.save_params(PARAMS, params_path)
-        p_obs = lt.coherent_outcome_distribution(PARAMS, 250.0)
-        matrix = lt.OutcomeMatrix(p_obs[None, :], np.array([10**6]))
-        dist_path = tmp_path / "dist.csv"
-        fileio.save_outcome_matrix(matrix, dist_path)
-        est_path = tmp_path / "est.json"
-        code = main(
-            [
-                "estimate",
-                "--params", str(params_path),
-                "--outcome-dist", str(dist_path),
-                "--out", str(est_path),
-            ]
-        )
-        assert code == 0
-        doc = json.loads(est_path.read_text())
-        assert abs(doc["mean_photon"] / 250.0 - 1.0) < 1e-4
 
     def test_full_probe_ladder_manifest(self, tmp_path):
         import looptomo as lt
@@ -507,10 +491,6 @@ _SIMULATE = ["simulate", "--params", "params.json", "--ensemble", "ens.json",
              "--pulses", "100", "--out-dir", "out"]
 _ESTIMATE_CSV = ["estimate", "--params", "params2.json", "--histogram", "h.csv",
                  "--pulses", "100", "--out", "out"]
-_ESTIMATE_DIST = ["estimate", "--params", "params2.json", "--outcome-dist", "d.csv",
-                  "--out", "out"]
-# near the coherent distribution of mean photon number 1 for params2.json
-_DIST_CSV = "n_pulses,outcome_0,outcome_1,outcome_2\n1000,0.64,0.357,0.003\n"
 
 
 def _hist_csv(values: str = "1000,78000") -> str:
@@ -520,23 +500,32 @@ def _hist_csv(values: str = "1000,78000") -> str:
     return "bin_width_ps,t0_ps\n" + values + "\n" + "5\n" * 312
 
 
-_RUNS = ('"runs": [{"histogram": "h.csv", "n_pulses": 100},'
-         ' {"histogram": "h.csv", "n_pulses": 100}]')
-# a manifest and histogram that _RECONSTRUCT solves; the second manifest
-# lacks the bin layout that simulate writes
-_DATA = {"m.json": f'{{{_RUNS}, "n_bins": 2, "bin_period_ns": 156}}',
-         "h.csv": _hist_csv()}
-_NO_LAYOUT = {"m.json": f"{{{_RUNS}}}", "h.csv": _hist_csv()}
+def _manifest(*means, pulses=100, layout=', "n_bins": 2, "bin_period_ns": 156'):
+    """A manifest of h.csv runs, one per mean_photon (None leaves the key
+    out), with the given pulse count and bin layout fields."""
+    runs = ", ".join(
+        f'{{"histogram": "h.csv", "n_pulses": {pulses}'
+        + ("" if mean is None else f', "mean_photon": {mean}') + "}"
+        for mean in means
+    )
+    return f'{{"runs": [{runs}]{layout}}}'
+
+
+# a manifest and histogram that _RECONSTRUCT solves with ens.json's means
+# 0 and 1; the second manifest lacks the bin layout that simulate writes
+_DATA = {"m.json": _manifest(0, 1), "h.csv": _hist_csv()}
+_NO_LAYOUT = {"m.json": _manifest(0, 1, layout=""), "h.csv": _hist_csv()}
 
 
 _EXTRAPOLATE = ["extrapolate", "--params", "params.json", "--out", "out"]
 
 
-def _params_3_bins(period: str) -> str:
+def _params_3_bins(**fields: str) -> str:
     """A parameter document of 3 bins, whose windows are 2 ns wide, with the
-    given JSON text as bin_period_ns."""
-    return ('{"R": 0.89613, "eta_loop": 0.9064, "eta_det": 0.4912, "n_bins": 3, '
-            f'"bin_period_ns": {period}}}')
+    given fields replaced by the given JSON texts."""
+    doc = {"R": "0.89613", "eta_loop": "0.9064", "eta_det": "0.4912", "n_bins": "3",
+           "bin_period_ns": "156", **fields}
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in doc.items()) + "}"
 
 
 # malformed inputs; each once ended in a traceback, a wrong exit code or a
@@ -565,13 +554,12 @@ FUZZ_TABLE = [
                  id="histogram-csv-nan-t0"),
     pytest.param([*_ESTIMATE_CSV, "--bootstrap", "-3"], {"h.csv": _hist_csv()},
                  2, id="estimate-bootstrap-negative"),
-    pytest.param(["estimate", "--params", "params2.json", "--outcome-dist", "d.csv",
-                  "--out", "out"],
-                 {"d.csv": "n_pulses,outcome_0,outcome_1,outcome_2\n"
-                           "100,0.25,0.5,0.25\n100,0.5,0.25,0.25\n"},
-                 2, id="outcome-dist-two-rows"),
-    pytest.param([*_ESTIMATE_DIST, "--pulses", "7"], {"d.csv": _DIST_CSV}, 2,
-                 id="outcome-dist-with-pulses"),
+    pytest.param(_RECONSTRUCT, {**_DATA, "m.json": _manifest(0, 4)}, 2,
+                 id="manifest-mean-not-the-ensembles"),
+    pytest.param(_RECONSTRUCT, {**_DATA, "m.json": _manifest(None, None)}, 2,
+                 id="manifest-without-mean"),
+    pytest.param(_RECONSTRUCT, {**_DATA, "m.json": _manifest(0, 1, pulses=0)}, 2,
+                 id="manifest-pulses-zero"),
     pytest.param(["extrapolate", "--fit", "params.json", "--outcomes", "3",
                   "--hilbert-dim", "10", "--out", "out"], {}, 2,
                  id="extrapolate-fit-bare-params"),
@@ -593,8 +581,9 @@ FUZZ_TABLE = [
                   "--out-dir", "out"],
                  {"e.json": '{"probes": [{"mean_photon": 1}], "truncation_dim": "x"}'},
                  2, id="ensemble-truncation-text"),
-    pytest.param(_SIMULATE, {"ens.json": '{"probes": [{"mean_photon": Infinity}]}'},
-                 3, id="ensemble-mean-infinite"),
+    *[pytest.param(_SIMULATE, {"ens.json": '{"probes": [{"mean_photon": %s}]}' % mean},
+                   2, id=f"ensemble-mean-{name}")
+      for name, mean in [("infinite", "Infinity"), ("nan", "NaN"), ("negative", "-1")]],
     # mean 0 takes any truncation >= 0, so only the type is refused
     *[pytest.param(_SIMULATE, {"ens.json": '{"probes": [{"mean_photon": 0}],'
                                           f' "truncation_dim": {trunc}}}'},
@@ -606,12 +595,18 @@ FUZZ_TABLE = [
     pytest.param(_SIMULATE, {"ens.json": '{"probes": [{"mean_photon": 25}],'
                                          ' "truncation_dim": 59}'},
                  2, id="ensemble-truncation-one-below-the-rule"),
-    *[pytest.param(_SIMULATE, {"params.json": _params_3_bins(period)}, 2,
-                   id=f"simulate-bin-period-{name}")
+    *[pytest.param(_SIMULATE, {"params.json": _params_3_bins(bin_period_ns=period)},
+                   2, id=f"simulate-bin-period-{name}")
       for name, period in [("0", "0"), ("1e-9", "1e-9"), ("true", "true"),
                            ("negative", "-156"), ("nan", "NaN"),
                            ("infinity", "Infinity"), ("string", '"156"'),
                            ("overlapping", "1.0")]],
+    # each was once read through float() or int() and simulated
+    *[pytest.param(_SIMULATE, {"params.json": _params_3_bins(**{key: text})}, 2,
+                   id=f"simulate-{key}-{name}")
+      for key, name, text in [("n_bins", "float", "3.7"), ("n_bins", "true", "true"),
+                              ("n_bins", "string", '"3"'), ("eta_det", "true", "true"),
+                              ("eta_loop", "true", "true"), ("R", "string", '"0.9"')]],
     pytest.param([*_SIMULATE, "--pulses", "-5"], {}, 2, id="simulate-pulses-negative"),
     pytest.param([*_SIMULATE, "--seed", "-1"], {}, 2, id="simulate-seed-negative"),
     pytest.param([*_RECONSTRUCT, "--mc-band", "2", "--seed", "-1"], _DATA, 2,
@@ -628,10 +623,6 @@ FUZZ_TABLE = [
                  id="simulate-bin-width-negative"),
     pytest.param(["fit", "--povm", "p.csv", "--bins", "1", "--out", "out"],
                  {"p.csv": _POVM_2.replace(",1\n", ",2\n")}, 3, id="support-flag-2"),
-    pytest.param(["estimate", "--params", "params2.json", "--outcome-dist", "d.csv",
-                  "--out", "out"],
-                 {"d.csv": "n_pulses,outcome_0,outcome_1,outcome_2\n100,nan,nan,nan\n"},
-                 3, id="outcome-dist-nan"),
     pytest.param(["export-plots", "--povm", "p.csv", "--out-dir", "out"],
                  {"p.csv": "fock_index,outcome_0,outcome_1,supported\n0,nan,nan,1\n"},
                  2, id="povm-nan"),
@@ -661,9 +652,8 @@ def test_malformed_input_exit_codes(tmp_path, monkeypatch, capsys, argv, files, 
 
 @pytest.mark.parametrize("argv, files", [
     pytest.param(_ESTIMATE_CSV, {"h.csv": _hist_csv()}, id="estimate-histogram"),
-    pytest.param(_ESTIMATE_DIST, {"d.csv": _DIST_CSV}, id="estimate-outcome-dist"),
     pytest.param([*_RECONSTRUCT, "--mc-band", "2"], _DATA, id="reconstruct-band"),
-    pytest.param(_SIMULATE, {"params.json": _params_3_bins("2")},
+    pytest.param(_SIMULATE, {"params.json": _params_3_bins(bin_period_ns="2")},
                  id="simulate-touching-windows"),
 ])
 def test_fuzz_table_inputs_are_otherwise_accepted(tmp_path, monkeypatch, argv, files):
@@ -676,8 +666,8 @@ def test_fuzz_table_inputs_are_otherwise_accepted(tmp_path, monkeypatch, argv, f
 @pytest.mark.parametrize("n_runs", [1, 3])
 def test_reconstruct_run_count_must_match_ensemble(tmp_path, monkeypatch, capsys,
                                                    n_runs):
-    runs = ", ".join(['{"histogram": "h.csv", "n_pulses": 100}'] * n_runs)
-    manifest = f'{{"runs": [{runs}], "n_bins": 2, "bin_period_ns": 156}}'
+    # the means of ens.json, 0 and 1, continued as k^2
+    manifest = _manifest(*[k * k for k in range(n_runs)])
     _fuzz_workspace(tmp_path, monkeypatch, {"m.json": manifest, "h.csv": _hist_csv()})
     assert main(_RECONSTRUCT) == 2
     assert capsys.readouterr().err == (
@@ -690,9 +680,7 @@ def test_reconstruct_reads_each_histogram_as_it_integrates_it(
         tmp_path, monkeypatch):
     """At most one raw histogram is in memory: every load is followed by the
     integration of that histogram before the next load."""
-    runs = ", ".join(['{"histogram": "h.csv", "n_pulses": 100}'] * 2)
-    manifest = f'{{"runs": [{runs}], "n_bins": 2, "bin_period_ns": 156}}'
-    _fuzz_workspace(tmp_path, monkeypatch, {"m.json": manifest, "h.csv": _hist_csv()})
+    _fuzz_workspace(tmp_path, monkeypatch, _DATA)
     events = []
 
     def logged(module, name):
@@ -787,56 +775,32 @@ class TestExitCodes:
         fit_path.write_text(
             json.dumps({"params": {"R": 0.9, "eta_det": 0.5, "n_bins": 10}})
         )
-        dist_path = tmp_path / "dist.csv"
-        fileio.save_outcome_matrix(
-            OutcomeMatrix(np.eye(11)[:1], np.array([100])), dist_path
-        )
+        hist_path = tmp_path / "hist.csv"
+        _window_histogram(hist_path, np.full(10, 50))
         code = main(
             [
                 "estimate",
                 "--fit", str(fit_path),
-                "--outcome-dist", str(dist_path),
+                "--histogram", str(hist_path),
+                "--pulses", "100",
                 "--out", str(tmp_path / "est.json"),
             ]
         )
         assert code == 2
-
-    def test_two_state_mixture_is_data_error(self, tmp_path):
-        bright = LoopParams(0.89613, 0.9064, 0.4912, 119)
-        params_path = tmp_path / "params.json"
-        fileio.save_params(bright, params_path)
-        mix = 0.5 * (
-            coherent_outcome_distribution(bright, 50.0)
-            + coherent_outcome_distribution(bright, 5e4)
-        )
-        dist_path = tmp_path / "mix.csv"
-        fileio.save_outcome_matrix(
-            OutcomeMatrix(mix[None, :], np.array([10**6])), dist_path
-        )
-        code = main(
-            [
-                "estimate",
-                "--params", str(params_path),
-                "--outcome-dist", str(dist_path),
-                "--out", str(tmp_path / "est.json"),
-            ]
-        )
-        assert code == 3
 
     def test_saturated_data_is_data_error(self, tmp_path, capsys):
         # every pulse clicks every bin; scipy's bracketing error used to
         # surface here in place of what is wrong with the data
         params_path = tmp_path / "params.json"
         fileio.save_params(PARAMS, params_path)
-        dist_path = tmp_path / "saturated.csv"
-        fileio.save_outcome_matrix(
-            OutcomeMatrix(np.eye(11)[10][None, :], np.array([10**6])), dist_path
-        )
+        hist_path = tmp_path / "saturated.csv"
+        _window_histogram(hist_path, np.full(10, 10**6))
         code = main(
             [
                 "estimate",
                 "--params", str(params_path),
-                "--outcome-dist", str(dist_path),
+                "--histogram", str(hist_path),
+                "--pulses", str(10**6),
                 "--out", str(tmp_path / "est.json"),
             ]
         )

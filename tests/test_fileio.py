@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 from pathlib import Path
@@ -10,7 +11,6 @@ from looptomo import (
     ConfigError,
     DataError,
     LoopParams,
-    OutcomeMatrix,
     POVMSet,
     ProbeEnsemble,
     SmoothingConfig,
@@ -24,6 +24,7 @@ from looptomo import (
 )
 from looptomo import fileio
 from looptomo.estimation import BrightStateEstimate
+from looptomo.model_fit import FitResult
 from looptomo.probe_states import poisson_row
 from looptomo.tomography import SweepPoint, SweepResult
 
@@ -232,17 +233,6 @@ class TestHistogramRoundTrip:
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
-class TestOutcomeMatrixRoundTrip:
-    def test_round_trip(self, tmp_path):
-        values = np.array([[0.7, 0.2, 0.1], [1.0, 0.0, 0.0]])
-        matrix = OutcomeMatrix(values, np.array([100, 50]))
-        path = tmp_path / "outcomes.csv"
-        fileio.save_outcome_matrix(matrix, path)
-        back = fileio.load_outcome_matrix(path)
-        np.testing.assert_array_equal(back.values, values)
-        np.testing.assert_array_equal(back.n_pulses, [100, 50])
-
-
 class TestPovmRoundTrip:
     def test_round_trip_with_support(self, params, tmp_path):
         povm = build_model_povm(params, 60)
@@ -305,7 +295,7 @@ class TestTableBytes:
         return POVMSet(theta, rng.random(3001) < 0.7)
 
     @pytest.mark.parametrize("block_lines", [2, 4096])
-    @pytest.mark.parametrize("artifact", ["povm", "band", "outcome_matrix"])
+    @pytest.mark.parametrize("artifact", ["povm", "band", "large_labels"])
     def test_bytes_match_line_by_line_writer(
         self, tmp_path, monkeypatch, povm, block_lines, artifact
     ):
@@ -314,8 +304,8 @@ class TestTableBytes:
         theta, rows = povm.theta, np.arange(3001)
         if artifact == "povm":
             fileio.save_povm_csv(povm, new)
-            header = fileio._outcome_header("fock_index", 11) + ",supported"
-            _line_by_line_table_csv(old, header, rows, theta, povm.supported)
+            _line_by_line_table_csv(old, fileio._povm_header(11), rows, theta,
+                                    povm.supported)
         elif artifact == "band":
             band = UncertaintyBand(theta * 0.9, np.minimum(theta * 1.1, 1.0), 2, 0.05)
             fileio.save_band(band, new)
@@ -327,11 +317,9 @@ class TestTableBytes:
             values[::7, 0] = 1e-290
             values /= values.sum(axis=1, keepdims=True)
             values[3] = [1.0, 0.0, 0.0, 0.0, 0.0]
-            pulses = (rng.integers(1, 10**18, 500) >> rng.integers(0, 60, 500)) + 1
-            matrix = OutcomeMatrix(values, pulses)
-            fileio.save_outcome_matrix(matrix, new)
-            _line_by_line_table_csv(old, fileio._outcome_header("n_pulses", 5),
-                                    matrix.n_pulses, matrix.values)
+            labels = (rng.integers(1, 10**18, 500) >> rng.integers(0, 60, 500)) + 1
+            fileio._write_csv(new, "label,a,b,c,d,e", labels, values)
+            _line_by_line_table_csv(old, "label,a,b,c,d,e", labels, values)
         assert new.read_bytes() == old.read_bytes()
 
 
@@ -407,11 +395,10 @@ class TestManifest:
         runs = [{"histogram": "h0.csv", "n_pulses": 10, "label": 0,
                  "mean_photon": 0.0}]
         path = tmp_path / "manifest.json"
-        fileio.save_manifest(runs, path, 7, 0.0, 10, 156.0)
-        doc = fileio.load_manifest(path)
-        assert doc["seed"] == 7
-        assert doc["runs"] == runs
-        assert (doc["n_bins"], doc["bin_period_ns"]) == (10, 156.0)
+        fileio.save_manifest(runs, path, 7, 0.0, 10, 200.0)
+        assert fileio.load_manifest(path) == (
+            [("h0.csv", 10, 0.0)], BinningConfig(10, bin_period_ns=200.0)
+        )
 
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -421,7 +408,6 @@ class TestManifest:
 
 
 _POVM_HEAD = "fock_index,outcome_0,outcome_1,supported\n"
-_MATRIX_HEAD = "n_pulses,outcome_0,outcome_1\n"
 _BAND_HEAD = "fock_index,lo_0,hi_0,lo_1,hi_1\n"
 
 
@@ -445,14 +431,13 @@ _BAND_HEAD = "fock_index,lo_0,hi_0,lo_1,hi_1\n"
          [[1, 0], [0.5, 0.5]]),
         (fileio.load_povm_csv, _POVM_HEAD.replace("\n", "\r\n") + "0,1,0,1\r\n",
          [[1, 0]]),
-        (fileio.load_outcome_matrix, _MATRIX_HEAD + "1.5,1,0\n", DataError),
-        (fileio.load_outcome_matrix, _MATRIX_HEAD + "nan,1,0\n", DataError),
-        (fileio.load_outcome_matrix, _MATRIX_HEAD + "1e30,1,0\n", DataError),
-        (fileio.load_outcome_matrix, _MATRIX_HEAD + "10,1\n", DataError),
-        (fileio.load_outcome_matrix, _MATRIX_HEAD + "10,1,0\n\n \n", DataError),
-        (fileio.load_outcome_matrix, "n_pulses,p0\n10,1\n", ConfigError),
-        (fileio.load_outcome_matrix, _MATRIX_HEAD + "10,1,0\n100,0.5,0.5\n",
-         [[1, 0], [0.5, 0.5]]),
+        # fock_index other than 0, 1, ..., M: decimated, reordered, offset, NaN
+        (fileio.load_povm_csv, _POVM_HEAD + "0,1,0,1\n2,0.5,0.5,1\n", DataError),
+        (fileio.load_povm_csv, _POVM_HEAD + "1,0.5,0.5,1\n0,1,0,1\n", DataError),
+        (fileio.load_povm_csv, _POVM_HEAD + "1,1,0,1\n", DataError),
+        (fileio.load_povm_csv, _POVM_HEAD + "nan,1,0,1\n", DataError),
+        (fileio.load_band, _BAND_HEAD + "0,0.9,1,0,0.1\n2,0.9,1,0,0.1\n", DataError),
+        (fileio.load_band, _BAND_HEAD + "1,0.9,1,0,0.1\n0,0.9,1,0,0.1\n", DataError),
         (fileio.load_band, _BAND_HEAD + "0,1,1,0\n", DataError),
         (fileio.load_band, _BAND_HEAD + "\n", DataError),
         (fileio.load_band, "fock_index,lo_0,hi_0,lo_1\n0,1,1,0\n", ConfigError),
@@ -466,7 +451,6 @@ def test_artifact_csv_reader_table(tmp_path, recwarn, reader, text, outcome):
     if isinstance(outcome, list):
         result = reader(path)
         values = {fileio.load_povm_csv: lambda r: r.theta,
-                  fileio.load_outcome_matrix: lambda r: r.values,
                   fileio.load_band: lambda r: r[0]}[reader](result)
         np.testing.assert_array_equal(values, outcome)
     else:
@@ -475,17 +459,13 @@ def test_artifact_csv_reader_table(tmp_path, recwarn, reader, text, outcome):
     assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
 
-def test_loaded_support_flags_and_pulses(tmp_path):
+def test_loaded_support_flags(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text(_POVM_HEAD + "0,1,0,1\n1,0.5,0.5,0\n")
     np.testing.assert_array_equal(fileio.load_povm_csv(path).supported, [True, False])
-    path.write_text(_MATRIX_HEAD + "10,1,0\n100.0,0.5,0.5\n")
-    pulses = fileio.load_outcome_matrix(path).n_pulses
-    assert pulses.dtype == np.int64
-    np.testing.assert_array_equal(pulses, [10, 100])
 
 
-_RUN = '"runs": [{"histogram": "h.csv", "n_pulses": 5}]'
+_RUN = '"runs": [{"histogram": "h.csv", "n_pulses": 5, "mean_photon": 1}]'
 _PARAMS = '"R": 0.9, "eta_loop": 0.9, "eta_det": 0.5, "n_bins": 10'
 
 
@@ -499,7 +479,11 @@ _PARAMS = '"R": 0.9, "eta_loop": 0.9, "eta_det": 0.5, "n_bins": 10'
         (fileio.load_manifest, '{"runs": ["x"]}'),
         (fileio.load_manifest, '{"runs": [{"n_pulses": 5}]}'),
         (fileio.load_manifest, '{"runs": [{"histogram": 3, "n_pulses": 5}]}'),
-        (fileio.load_manifest, '{"runs": [{"histogram": "h.csv", "n_pulses": 0}]}'),
+        (fileio.load_manifest, '{"runs": [{"histogram": "h.csv", "n_pulses": 5}],'
+                               ' "n_bins": 10, "bin_period_ns": 156}'),
+        (fileio.load_manifest, '{"runs": [{"histogram": "h.csv", "n_pulses": 5,'
+                               ' "mean_photon": "1"}], "n_bins": 10,'
+                               ' "bin_period_ns": 156}'),
         (fileio.load_manifest, '{"runs": [{"histogram": "h.csv", "n_pulses": 5.5}]}'),
         (fileio.load_manifest, '{"runs": [{"histogram": "h.csv", "n_pulses": true}]}'),
         (fileio.load_manifest, "{%s}" % _RUN),
@@ -520,6 +504,10 @@ _PARAMS = '"R": 0.9, "eta_loop": 0.9, "eta_det": 0.5, "n_bins": 10'
            '{"probes": [{"mean_photon": 1}], "truncation_dim": %s}' % trunc)
           for trunc in ("60.7", '"60"', "true", "-1", "[60]")],
         (fileio.load_ensemble, '{"probes": [{"mean_photon": "1"}]}'),
+        *[(fileio.load_ensemble, '{"probes": [{"mean_photon": %s}]}' % mean)
+          for mean in ("-1", "NaN", "Infinity", "-Infinity")],
+        (fileio.load_ensemble,
+         '{"probes": [{"mean_photon": 1}], "truncation_dim": null}'),
         (fileio.load_ensemble, '{"probes": [{"mean_photon": false}]}'),
         # an integer beyond the largest double
         (fileio.load_ensemble, '{"probes": [{"mean_photon": 1%s}]}' % ("0" * 400)),
@@ -530,6 +518,15 @@ _PARAMS = '"R": 0.9, "eta_loop": 0.9, "eta_det": 0.5, "n_bins": 10'
         (fileio.load_params, '{%s, "bin_period_ns": true}' % _PARAMS),
         (fileio.load_params, '{%s, "bin_period_ns": 0}' % _PARAMS),
         (fileio.load_params, '{%s, "bin_period_ns": NaN}' % _PARAMS),
+        (fileio.load_params, '{%s, "bin_period_ns": -156}' % _PARAMS),
+        (fileio.load_params, '{%s, "bin_period_ns": Infinity}' % _PARAMS),
+        *[(fileio.load_params, '{%s, "bin_period_ns": 156}'
+           % _PARAMS.replace(f'"{key}": {value}', f'"{key}": {bad}'))
+          for key, value, bad in [("n_bins", "10", "3.7"), ("n_bins", "10", "true"),
+                                  ("n_bins", "10", '"10"'), ("n_bins", "10", "0"),
+                                  ("eta_det", "0.5", "true"), ("eta_det", "0.5", "1.5"),
+                                  ("eta_loop", "0.9", "true"), ("R", "0.9", '"0.9"'),
+                                  ("R", "0.9", "1")]],
         (fileio.load_fit_params,
          '{"params": {%s, "bin_period_ns": "156"}}' % _PARAMS),
         (fileio.load_fit_params, '{"params": [0.9]}'),
@@ -544,11 +541,74 @@ def test_malformed_json_fields_are_config_errors(tmp_path, loader, text):
         loader(path)
 
 
+_FIT = FitResult(LoopParams(0.9, 0.8, 0.5, 10, 200.0), 1e-3, (0.01, 0.02, 0.03),
+                 True, ("a warning",), 42)
+_SIMULATED_RUNS = [{"histogram": f"hist_{k:03d}.csv", "n_pulses": 100, "label": k,
+                    "mean_photon": mean} for k, mean in enumerate([0.0, 4.0])]
+# each JSON document as its writer writes it, its reader, and the keys the
+# reader ignores: a number under one of them is not read
+_DOCUMENTS = {
+    "params": (lambda path: fileio.save_params(_FIT.params, path), fileio.load_params,
+               set()),
+    "fit": (lambda path: fileio.save_fit_result(_FIT, path), fileio.load_fit_params,
+            {"residual", "uncertainties", "n_evaluations"}),
+    "ensemble": (lambda path: fileio.save_ensemble(
+        ProbeEnsemble.from_means([0.0, 4.0], 30), path), fileio.load_ensemble,
+        {"label"}),
+    "manifest": (lambda path: fileio.save_manifest(
+        _SIMULATED_RUNS, path, 7, 1e-4, 10, 156.0), fileio.load_manifest,
+        {"seed", "dark_prob", "label"}),
+}
+
+
+def _number_fields(doc, at=()):
+    """(path, is_integer) of every JSON number in doc."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from _number_fields(value, (*at, key))
+    elif type(doc) in (int, float):
+        yield at, type(doc) is int
+
+
+@pytest.mark.parametrize("name", list(_DOCUMENTS))
+def test_every_read_number_takes_only_its_json_type(tmp_path, name):
+    """Each number field a reader reads, replaced by a boolean, a string or
+    (an integer field) a float, is a ConfigError; an ignored one loads."""
+    save, load, ignored = _DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    save(path)
+    written = json.loads(path.read_text())
+    load(path)
+    read = 0
+    for at, integer in _number_fields(written):
+        for bad in [True, "1"] + [1.5] * integer:
+            doc = copy.deepcopy(written)
+            *parents, key = at
+            target = doc
+            for step in parents:
+                target = target[step]
+            target[key] = bad
+            path.write_text(json.dumps(doc))
+            if ignored.isdisjoint(at):
+                with pytest.raises(ConfigError, match="must be a JSON"):
+                    load(path)
+            else:
+                load(path)
+        read += ignored.isdisjoint(at)
+    # params and fit: R, eta_loop, eta_det, n_bins, bin_period_ns; ensemble:
+    # two means and the truncation; manifest: two runs' n_pulses and mean,
+    # n_bins and bin_period_ns
+    assert read == {"params": 5, "fit": 5, "ensemble": 3, "manifest": 6}[name]
+
+
 @pytest.mark.parametrize("bullet, save", [
     ("Manifest JSON", lambda path: fileio.save_manifest([], path, 0, 0.0, 10, 156.0)),
     ("Ensemble JSON",
      lambda path: fileio.save_ensemble(ProbeEnsemble.from_means([1.0]), path)),
-], ids=["manifest", "ensemble"])
+    ("Parameter JSON", lambda path: fileio.save_params(_FIT.params, path)),
+    ("Fit JSON", lambda path: fileio.save_fit_result(_FIT, path)),
+], ids=["manifest", "ensemble", "params", "fit"])
 def test_readme_format_lists_every_written_key(tmp_path, bullet, save):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     entry = readme.split(f"\n- **{bullet}**")[1].split("\n- **")[0]

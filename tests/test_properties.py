@@ -14,7 +14,6 @@ from looptomo import (
     BinningConfig,
     ConfigError,
     DataError,
-    OutcomeMatrix,
     POVMSet,
     TimeTagHistogram,
     UncertaintyBand,
@@ -282,20 +281,6 @@ def test_povm_csv_round_trip_is_exact(tmp_path_factory, theta, data):
 
 
 @PROPERTY
-@given(_unit_rows, st.data())
-def test_outcome_matrix_csv_round_trip_is_exact(tmp_path_factory, values, data):
-    pulses = data.draw(arrays(np.int64, values.shape[0],
-                              elements=st.integers(0, 2**53)))
-    matrix = OutcomeMatrix(values, pulses)
-    first, back, second = _rewrite(
-        tmp_path_factory, fileio.save_outcome_matrix, fileio.load_outcome_matrix,
-        matrix)
-    assert first == second
-    assert np.array_equal(back.values, matrix.values)
-    assert np.array_equal(back.n_pulses, pulses)
-
-
-@PROPERTY
 @given(_any_floats, st.data())
 def test_band_csv_round_trip_is_exact(tmp_path_factory, lo, data):
     hi = data.draw(arrays(np.float64, lo.shape,
@@ -339,7 +324,6 @@ _line = st.one_of(
 )
 _READERS = [
     (fileio.load_povm_csv, "fock_index,outcome_0,outcome_1,supported"),
-    (fileio.load_outcome_matrix, "n_pulses,outcome_0,outcome_1,outcome_2"),
     (fileio.load_band, "fock_index,lo_0,hi_0,lo_1,hi_1"),
 ]
 
